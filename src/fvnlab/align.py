@@ -10,7 +10,6 @@ recording through the warp puts both on a common clock.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +207,6 @@ def build_warp_map(
     """
     for name, traj in (("reference", reference), ("measured", measured)):
         if np.any(np.diff(traj.phase) <= 0):
-            warnings.warn(f"non-monotone {name} phase trajectory")
             raise ValueError(f"{name} phase trajectory is not strictly increasing")
     lo = max(reference.phase[0], measured.phase[0])
     hi = min(reference.phase[-1], measured.phase[-1])

@@ -45,6 +45,10 @@ GENERATE_DEFAULTS = {
     "seed": 0,
     "shape": None,
 }
+_MANIFEST_KEYS = (
+    "fs", "sigma_t", "codes", "period_no", "repetitions", "seed", "channels"
+)
+_CHANNEL_KEYS = ("file", "seed", "code_row")
 
 
 def _resolve_config(args, defaults: dict) -> dict:
@@ -66,13 +70,22 @@ def _resolve_config(args, defaults: dict) -> dict:
     return cfg
 
 
-def _manifest_path(arg: str) -> Path:
+def _read_manifest(arg: str) -> tuple[Path, dict]:
+    """Path and contents of a generate manifest (a file or its directory)."""
     path = Path(arg)
     if path.is_dir():
         path = path / "manifest.json"
     if not path.is_file():
         raise ValueError(f"no manifest at {path}; measurement needs provenance")
-    return path
+    manifest = fileio.read_manifest(path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    for i, channel in enumerate(manifest.get("channels", [])):
+        missing += [f"channels[{i}].{k}" for k in _CHANNEL_KEYS if k not in channel]
+    if missing:
+        raise ValueError(f"{path}: missing key {', '.join(missing)}")
+    return path, manifest
 
 
 def _out_dir(args) -> Path:
@@ -124,40 +137,26 @@ def cmd_generate(args) -> int:
     cfg = _resolve_config(args, GENERATE_DEFAULTS)
     out = _out_dir(args)
     filt = fileio.read_filter(cfg["shape"]) if cfg["shape"] else None
-    codes = build_code_matrix(int(cfg["codes"]))
-    signals = []
-    channels = []
-    for i in range(codes.rows):
-        spec = FvnSpec(
-            sigma_t=float(cfg["sigma_t"]), fs=float(cfg["fs"]), seed=int(cfg["seed"]) + i
-        )
-        plan = SequencePlan(
-            fvn_spec=spec,
-            code_row_index=i,
-            period_no=int(cfg["period_no"]),
-            repetitions=int(cfg["reps"]),
-        )
-        signal = assemble_sequence(
-            plan, codes, unit=center_pulse(synthesize_unit_fvn(spec))
-        )
-        if filt is not None:
-            signal = shape_spectrum(signal, filt)
-        name = f"channel_{i}.wav"
-        fileio.write_wav(out / name, signal)
-        signals.append(signal)
-        channels.append({"file": name, "seed": spec.seed, "code_row": i})
-    if len(signals) > 1:
-        fileio.write_wav(out / "multiplexed.wav", multiplex(signals))
+    seed = int(cfg["seed"])
+    k_codes = build_code_matrix(int(cfg["codes"])).rows  # rejects bad counts first
     manifest = {
         "fs": float(cfg["fs"]),
         "sigma_t": float(cfg["sigma_t"]),
-        "codes": int(cfg["codes"]),
+        "codes": k_codes,
         "period_no": int(cfg["period_no"]),
         "repetitions": int(cfg["reps"]),
-        "seed": int(cfg["seed"]),
-        "channels": channels,
+        "seed": seed,
+        "channels": [
+            {"file": f"channel_{i}.wav", "seed": seed + i, "code_row": i}
+            for i in range(k_codes)
+        ],
         "shape": filt.a.tolist() if filt is not None else None,
     }
+    _, _, signals = _channels_from_manifest(manifest, with_signals=True)
+    for channel, signal in zip(manifest["channels"], signals):
+        fileio.write_wav(out / channel["file"], signal)
+    if len(signals) > 1:
+        fileio.write_wav(out / "multiplexed.wav", multiplex(signals))
     fileio.write_manifest(out / "manifest.json", manifest)
     extra = " + multiplexed.wav" if len(signals) > 1 else ""
     print(f"wrote {len(signals)} channel(s){extra} and manifest.json to {out}")
@@ -165,9 +164,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    manifest = fileio.read_manifest(_manifest_path(args.manifest))
-    base = _manifest_path(args.manifest).parent
-    inputs = [fileio.read_wav(base / ch["file"]) for ch in manifest["channels"]]
+    path, manifest = _read_manifest(args.manifest)
+    inputs = [fileio.read_wav(path.parent / ch["file"]) for ch in manifest["channels"]]
     if args.config:
         target = SimTarget.from_json(args.config)
     else:
@@ -202,7 +200,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    manifest = fileio.read_manifest(_manifest_path(args.manifest))
+    _, manifest = _read_manifest(args.manifest)
     recorded = fileio.read_wav(args.recording)
     _check_fs(recorded, manifest)
     codes, units, _ = _channels_from_manifest(manifest, with_signals=False)
@@ -263,7 +261,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_align(args) -> int:
-    manifest = fileio.read_manifest(_manifest_path(args.manifest))
+    _, manifest = _read_manifest(args.manifest)
     recorded = fileio.read_wav(args.recording)
     _check_fs(recorded, manifest)
     _, _, signals = _channels_from_manifest(manifest, with_signals=True)

@@ -25,9 +25,8 @@ class MeasurementResult:
 
     linear_ir is the samplewise mean of per_code_irs.  deviations (per-code
     IR minus the mean) and their statistics are filled by
-    separate_nonlinear; noise_ir by the caller when a background recording
-    is available.  periods_averaged counts the periods that went into each
-    per-code average.
+    separate_nonlinear.  periods_averaged counts the periods that went into
+    each per-code average.
     """
 
     per_code_irs: list[SampledSignal]
@@ -38,7 +37,6 @@ class MeasurementResult:
     deviations: list[SampledSignal] | None = None
     deviation_rms: np.ndarray | None = None
     pooled_deviation_power: PowerSpectrum | None = None
-    noise_ir: SampledSignal | None = None
 
 
 def pulse_compress(recorded: SampledSignal, unit: SampledSignal) -> SampledSignal:
@@ -182,7 +180,6 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
         deviations=deviations,
         deviation_rms=dev_rms,
         pooled_deviation_power=PowerSpectrum(freqs, pooled),
-        noise_ir=result.noise_ir,
     )
 
 

@@ -3,7 +3,8 @@
 The interpolator is a Hann-windowed sinc with 32 taps on each side of the
 requested position (64 taps total).  At integer positions the kernel
 collapses to a unit impulse, so on-grid evaluation is exact.  Positions
-outside the signal read zeros.
+outside the signal read zeros.  Evaluation is blocked: cache-sized chunks
+of positions, with the taps in the inner loop over one-chunk vectors.
 """
 
 from __future__ import annotations
@@ -12,13 +13,24 @@ import numpy as np
 import scipy.fft
 
 HALF_TAPS = 32
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13
 
 
 def resample_at(
     x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS
 ) -> np.ndarray:
-    """Evaluate x at (possibly fractional) sample positions."""
+    """Evaluate x at (possibly fractional) sample positions.
+
+    Position b + f (b = floor) reads sum_k x[b + k] w_k over the taps
+    k = 1 - H .. H (H = half_taps).  sinc(f - k) = (-1)^k sin(pi f) /
+    (pi (f - k)) and the Hann factor's cosine expands by the addition
+    theorem, so w_k = (-1)^k (a + c cos(pi k / H) + d sin(pi k / H)) / (f - k)
+    with a = sin(pi f) / 2 pi, c = a cos(pi f / H) and d = a sin(pi f / H)
+    per position.  Each chunk of _CHUNK positions loops over the taps on
+    vectors that stay in cache.  x is padded with a zero at each end and
+    the gather clamps its indices there, so taps off the signal read zero.
+    Positions within 1e-15 of the grid, where w_k is 0 / 0, read the sample.
+    """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
     if x.ndim != 1 or positions.ndim != 1:
@@ -26,33 +38,47 @@ def resample_at(
     if half_taps < 1:
         raise ValueError("half_taps must be >= 1")
     taps = np.arange(-half_taps + 1, half_taps + 1)
-    # sinc(f - n) = (-1)^n sin(pi f) / (pi (f - n)) and the Hann factor
-    # expands by the cosine addition theorem, so the per-sample work needs
-    # three transcendentals per position instead of two per tap.
     sign = np.where(taps % 2 == 0, 1.0, -1.0)
-    cos_n = np.cos(np.pi * taps / half_taps)
-    sin_n = np.sin(np.pi * taps / half_taps)
+    cos_n = sign * np.cos(np.pi * taps / half_taps)
+    sin_n = sign * np.sin(np.pi * taps / half_taps)
+    padded = np.concatenate(([0.0], x, [0.0]))
     out = np.empty(positions.size)
-    for lo in range(0, positions.size, _CHUNK):
-        pos = positions[lo : lo + _CHUNK]
-        base = np.floor(pos).astype(np.int64)
-        frac = pos - base
-        u = frac[:, None] - taps[None, :]
-        # sin(pi f) by reflection about 1/2: for f just under 1 the direct
-        # pi * f cancels against pi, and the division by the nearest tap's
-        # tiny u would blow that rounding error up by 1 / |u|.
-        sin_pi_frac = np.sin(np.pi * np.minimum(frac, 1.0 - frac))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sinc = sign * sin_pi_frac[:, None] / (np.pi * u)
-        sinc[np.abs(u) < 1e-15] = 1.0  # on-grid: 0/0 above, exactly 1 here
-        hann = 0.5 + 0.5 * (
-            np.cos(np.pi * frac / half_taps)[:, None] * cos_n
-            + np.sin(np.pi * frac / half_taps)[:, None] * sin_n
-        )
-        idx = base[:, None] + taps[None, :]
-        valid = (idx >= 0) & (idx < x.size)
-        gathered = x[np.clip(idx, 0, x.size - 1)]
-        out[lo : lo + _CHUNK] = np.einsum("ij,ij->i", gathered, sinc * hann * valid)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, positions.size, _CHUNK):
+            pos = positions[lo : lo + _CHUNK]
+            base = np.floor(pos)
+            frac = pos - base
+            # Snap near-grid positions to frac 0; pos - floor(pos) even rounds
+            # to exactly 1.0 for pos = -1e-20, which is the next sample.
+            up = frac > 1.0 - 1e-15
+            base[up] += 1.0
+            frac[up | (frac < 1e-15)] = 0.0
+            # padded index of tap 1 - H; clipping keeps the int64 cast defined
+            idx = np.clip(base, -half_taps - 1, x.size + half_taps).astype(np.int64)
+            idx += 2 - half_taps
+            # sin(pi f) by reflection about 1/2: for f just under 1 the direct
+            # pi * f cancels against pi, and the division by the nearest tap's
+            # tiny f - k would blow that rounding error up by 1 / |f - k|.
+            a = np.sin(np.pi * np.minimum(frac, 1.0 - frac)) / (2.0 * np.pi)
+            c = a * np.cos(np.pi * frac / half_taps)
+            d = a * np.sin(np.pi * frac / half_taps)
+            minus_a = -a
+            acc = np.zeros(pos.size)
+            w, tmp = np.empty((2, pos.size))
+            for j, k in enumerate(taps):
+                np.multiply(c, cos_n[j], out=w)
+                w += a if sign[j] > 0 else minus_a
+                np.multiply(d, sin_n[j], out=tmp)
+                w += tmp
+                np.subtract(frac, k, out=tmp)
+                w /= tmp
+                np.take(padded, idx, out=tmp, mode="clip")
+                w *= tmp
+                acc += w
+                idx += 1
+            on_grid = frac == 0.0  # acc is NaN there
+            acc[on_grid] = np.take(padded, idx[on_grid] - half_taps - 1, mode="clip")
+            out[lo : lo + _CHUNK] = acc
     return out
 
 

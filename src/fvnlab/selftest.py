@@ -112,25 +112,25 @@ def criterion_orthogonality() -> tuple[bool, str]:
     return True, "B B^T = N I exact (integer) for k_codes 1..8"
 
 
+def _coded_channels(k_codes: int, seed: int, repetitions: int):
+    """Code matrix, unit pulses and sequences of k_codes channels with seeds
+    seed, seed + 1, ..., sigma_t 5 ms and 4410-sample periods."""
+    codes = build_code_matrix(k_codes)
+    units, seqs = [], []
+    for i in range(k_codes):
+        spec = FvnSpec(sigma_t=0.005, fs=FS, seed=seed + i)
+        units.append(center_pulse(synthesize_unit_fvn(spec)))
+        plan = SequencePlan(
+            fvn_spec=spec, code_row_index=i, period_no=4410, repetitions=repetitions
+        )
+        seqs.append(assemble_sequence(plan, codes, unit=units[-1]))
+    return codes, units, seqs
+
+
 def criterion_demultiplex() -> tuple[bool, str]:
     """Two multiplexed channels through two FIR paths separate cleanly."""
     start = time.perf_counter()
-    codes = build_code_matrix(2)
-    units = []
-    seqs = []
-    for i in range(2):
-        spec = FvnSpec(sigma_t=0.005, fs=FS, seed=500 + i)
-        unit = center_pulse(synthesize_unit_fvn(spec))
-        units.append(unit)
-        seqs.append(
-            assemble_sequence(
-                SequencePlan(
-                    fvn_spec=spec, code_row_index=i, period_no=4410, repetitions=12
-                ),
-                codes,
-                unit=unit,
-            )
-        )
+    codes, units, seqs = _coded_channels(2, 500, 12)
     rng = np.random.default_rng(12)
     paths = []
     for _ in range(2):
@@ -170,22 +170,7 @@ def criterion_nonlinear_separation() -> tuple[bool, str]:
     channel must sit at least 40 dB above the zero-cubic run's floor.
     """
     start = time.perf_counter()
-    codes = build_code_matrix(4)
-    units = []
-    seqs = []
-    for i in range(4):
-        spec = FvnSpec(sigma_t=0.005, fs=FS, seed=300 + i)
-        unit = center_pulse(synthesize_unit_fvn(spec))
-        units.append(unit)
-        seqs.append(
-            assemble_sequence(
-                SequencePlan(
-                    fvn_spec=spec, code_row_index=i, period_no=4410, repetitions=36
-                ),
-                codes,
-                unit=unit,
-            )
-        )
+    codes, units, seqs = _coded_channels(4, 300, 36)
     mux = multiplex(seqs)
     g = np.random.default_rng(11).standard_normal(64)
     g /= np.linalg.norm(g)
@@ -361,22 +346,7 @@ def criterion_drift_recovery() -> tuple[bool, str]:
 
 def _pipeline_fingerprint() -> bytes:
     """One full generate/simulate/measure pass, reduced to raw bytes."""
-    codes = build_code_matrix(2)
-    units = []
-    seqs = []
-    for i in range(2):
-        spec = FvnSpec(sigma_t=0.005, fs=FS, seed=700 + i)
-        unit = center_pulse(synthesize_unit_fvn(spec))
-        units.append(unit)
-        seqs.append(
-            assemble_sequence(
-                SequencePlan(
-                    fvn_spec=spec, code_row_index=i, period_no=4410, repetitions=12
-                ),
-                codes,
-                unit=unit,
-            )
-        )
+    codes, units, seqs = _coded_channels(2, 700, 12)
     rng = np.random.default_rng(31)
     paths = [rng.standard_normal(64) for _ in range(2)]
     target = SimTarget(

@@ -148,6 +148,36 @@ def test_measure_without_manifest_is_a_validation_error(tmp_path):
     assert run("measure", tmp_path / "nothing.wav", empty, "--out-dir", tmp_path) == 1
 
 
+@pytest.mark.parametrize(
+    "command, drop",
+    [
+        ("simulate", "period_no"),
+        ("align", "sigma_t"),
+        ("measure", "period_no"),
+        ("measure", "channels[0].code_row"),
+    ],
+)
+def test_manifest_missing_a_key_is_a_validation_error(tmp_path, capsys, command, drop):
+    gen = tmp_path / "gen"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, seed=2) == 0
+    path = gen / "manifest.json"
+    manifest = read_manifest(path)
+    if drop.startswith("channels"):
+        del manifest["channels"][0][drop.split(".")[1]]
+    else:
+        del manifest[drop]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    if command == "simulate":
+        argv = ["simulate", gen]
+    else:
+        argv = [command, gen / "channel_0.wav", gen]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert drop in err
+
+
 def test_missing_audio_is_a_processing_error(tmp_path):
     gen = tmp_path / "gen"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
@@ -169,6 +199,11 @@ def test_unknown_config_key_is_rejected(tmp_path):
 
 def test_invalid_parameter_is_a_validation_error(tmp_path):
     assert generate(tmp_path / "gen", sigma_t=-0.01) == 1
+
+
+def test_oversized_code_count_is_rejected_before_any_work(tmp_path):
+    assert generate(tmp_path / "gen", codes=10**9) == 1
+    assert not list((tmp_path / "gen").iterdir())
 
 
 def test_no_subcommand_prints_help_and_fails():

@@ -1,7 +1,81 @@
 import numpy as np
 import pytest
 
-from fvnlab.resample import resample_at, upsample2
+from fvnlab import resample
+from fvnlab.resample import HALF_TAPS, resample_at, upsample2
+
+_CHUNK = 1 << 16  # einsum_resample_at's chunk
+
+
+def einsum_resample_at(
+    x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS
+) -> np.ndarray:
+    """Reference: resample_at as it was before the tap-outer rewrite."""
+    x = np.asarray(x, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    if x.ndim != 1 or positions.ndim != 1:
+        raise ValueError("x and positions must be 1-D")
+    if half_taps < 1:
+        raise ValueError("half_taps must be >= 1")
+    taps = np.arange(-half_taps + 1, half_taps + 1)
+    # sinc(f - n) = (-1)^n sin(pi f) / (pi (f - n)) and the Hann factor
+    # expands by the cosine addition theorem, so the per-sample work needs
+    # three transcendentals per position instead of two per tap.
+    sign = np.where(taps % 2 == 0, 1.0, -1.0)
+    cos_n = np.cos(np.pi * taps / half_taps)
+    sin_n = np.sin(np.pi * taps / half_taps)
+    out = np.empty(positions.size)
+    for lo in range(0, positions.size, _CHUNK):
+        pos = positions[lo : lo + _CHUNK]
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        u = frac[:, None] - taps[None, :]
+        # sin(pi f) by reflection about 1/2: for f just under 1 the direct
+        # pi * f cancels against pi, and the division by the nearest tap's
+        # tiny u would blow that rounding error up by 1 / |u|.
+        sin_pi_frac = np.sin(np.pi * np.minimum(frac, 1.0 - frac))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sinc = sign * sin_pi_frac[:, None] / (np.pi * u)
+        sinc[np.abs(u) < 1e-15] = 1.0  # on-grid: 0/0 above, exactly 1 here
+        hann = 0.5 + 0.5 * (
+            np.cos(np.pi * frac / half_taps)[:, None] * cos_n
+            + np.sin(np.pi * frac / half_taps)[:, None] * sin_n
+        )
+        idx = base[:, None] + taps[None, :]
+        valid = (idx >= 0) & (idx < x.size)
+        gathered = x[np.clip(idx, 0, x.size - 1)]
+        out[lo : lo + _CHUNK] = np.einsum("ij,ij->i", gathered, sinc * hann * valid)
+    return out
+
+
+@pytest.mark.parametrize("half_taps", [1, 3, 32])
+def test_matches_the_einsum_reference(half_taps):
+    """Random, unordered positions over more than two chunks (not a whole
+    number of them), inside, across both edges of and beyond the signal,
+    with some of them on the grid."""
+    rng = np.random.default_rng(half_taps)
+    x = rng.standard_normal(1000)
+    positions = rng.uniform(-100.0, 1100.0, 2 * resample._CHUNK + 321)
+    positions[:200] = np.round(positions[:200])
+    out = resample_at(x, positions, half_taps)
+    assert out.shape == positions.shape
+    ref = einsum_resample_at(x, positions, half_taps)
+    assert np.max(np.abs(out - ref)) < 1e-12
+
+
+def test_empty_positions():
+    out = resample_at(np.ones(10), np.array([]))
+    assert out.shape == (0,)
+    assert einsum_resample_at(np.ones(10), np.array([])).shape == (0,)
+
+
+def test_fraction_that_rounds_up_to_one_reads_the_next_sample():
+    """-1e-20 - floor(-1e-20) is exactly 1.0 in float64."""
+    x = np.arange(1.0, 11.0)
+    positions = np.array([-1e-20])
+    assert positions[0] - np.floor(positions[0]) == 1.0
+    assert einsum_resample_at(x, positions)[0] == 1.0
+    assert resample_at(x, positions)[0] == pytest.approx(x[0], abs=1e-12)
 
 
 def test_integer_positions_are_read_back_exactly():
