@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .fvn import SIX_TERM_COEFFS
-from .resample import HALF_TAPS, resample_at, upsample2
+from .resample import HALF_TAPS, fftconvolve, resample_at, upsample2
 from .signal import SampledSignal
 
 
@@ -122,6 +121,11 @@ def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
     return AnalyticProbe(f_o=f_o, c_mag=c_mag, fs=fs, taps=taps)
 
 
+def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
+    """angle(y[n+1] conj(y[n])) * fs / (2 pi) for every interval [n, n+1]."""
+    return np.angle(y[1:] * np.conj(y[:-1])) * fs / (2.0 * np.pi)
+
+
 def instantaneous_frequency(
     y: np.ndarray, fs: float, floor_rel: float = 1e-6
 ) -> tuple[SampledSignal, np.ndarray]:
@@ -135,7 +139,7 @@ def instantaneous_frequency(
     y = np.asarray(y)
     if y.ndim != 1 or y.size < 2:
         raise ValueError("y must be a 1-D array with at least 2 samples")
-    freq = np.angle(y[1:] * np.conj(y[:-1])) * fs / (2.0 * np.pi)
+    freq = _interval_frequency(y, fs)
     mag = np.abs(y)
     floor = floor_rel * np.median(mag)
     valid = (mag[1:] >= floor) & (mag[:-1] >= floor)
@@ -161,7 +165,7 @@ def track_phase(
     half = probe.half
     if n <= 2 * half + 16:
         raise ValueError("recording shorter than the probe plus its edges")
-    y = scipy.signal.fftconvolve(recorded.samples, probe.taps)[half : half + n]
+    y = fftconvolve(recorded.samples, probe.taps)[half : half + n]
     y = y[half : n - half]  # drop convolution edge transients
     offset = half
     mag = np.abs(y)
@@ -177,16 +181,14 @@ def track_phase(
         lo, hi = int(starts[best]), int(stops[best])
         if hi - lo < 16:
             raise ValueError("fundamental not detected: no stable band segment")
-        y = y[lo:hi]
+        y, mag = y[lo:hi], mag[lo:hi]
         offset += lo
-    freq, _ = instantaneous_frequency(y, recorded.fs, floor_rel)
+    freq = _interval_frequency(y, recorded.fs)
     # freq[n] is the exact average over [n, n+1], so summing the interval
     # areas integrates the trajectory without further quadrature error.
-    phase_rel = np.concatenate(
-        [[0.0], np.cumsum(2.0 * np.pi * freq.samples / recorded.fs)]
-    )
+    phase_rel = np.concatenate([[0.0], np.cumsum(2.0 * np.pi * freq / recorded.fs)])
     times = (offset + np.arange(y.size)) / recorded.fs
-    anchor = int(np.argmax(np.abs(y)))
+    anchor = int(np.argmax(mag))
     nominal = 2.0 * np.pi * probe.f_o * times[anchor]
     measured = np.angle(y[anchor])
     cycles = np.round((nominal - measured) / (2.0 * np.pi))

@@ -45,10 +45,28 @@ GENERATE_DEFAULTS = {
     "seed": 0,
     "shape": None,
 }
-_MANIFEST_KEYS = (
-    "fs", "sigma_t", "codes", "period_no", "repetitions", "seed", "channels"
-)
-_CHANNEL_KEYS = ("file", "seed", "code_row")
+_NUMBER, _INTEGER = "a finite number", "an integer"
+_MANIFEST_KEYS = {
+    "fs": _NUMBER,
+    "sigma_t": _NUMBER,
+    "codes": _INTEGER,
+    "period_no": _INTEGER,
+    "repetitions": _INTEGER,
+    "seed": _INTEGER,
+    "channels": "a list of objects",
+}
+_CHANNEL_KEYS = {"file": "a string", "seed": _INTEGER, "code_row": _INTEGER}
+# bool is an int subclass; NaN, infinities and ints beyond float range fail
+# the bound on abs(v).
+_IS_KIND = {
+    _NUMBER: lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
+    _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of objects": lambda v: isinstance(v, list)
+    and all(isinstance(c, dict) for c in v),
+}
 
 
 def _resolve_config(args, defaults: dict) -> dict:
@@ -80,12 +98,25 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
     manifest = fileio.read_manifest(path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    for i, channel in enumerate(manifest.get("channels", [])):
-        missing += [f"channels[{i}].{k}" for k in _CHANNEL_KEYS if k not in channel]
+    _check_keys(path, manifest, _MANIFEST_KEYS, "")
+    for i, channel in enumerate(manifest["channels"]):
+        _check_keys(path, channel, _CHANNEL_KEYS, f"channels[{i}].")
+    shape = manifest.get("shape")
+    if shape is not None and not (
+        isinstance(shape, list) and all(_IS_KIND[_NUMBER](c) for c in shape)
+    ):
+        raise ValueError(f"{path}: shape must be null or a list of numbers")
+    return path, manifest
+
+
+def _check_keys(path: Path, doc: dict, kinds: dict, prefix: str) -> None:
+    """Every key of `kinds` is in `doc`, and its value is of the named kind."""
+    missing = [prefix + key for key in kinds if key not in doc]
     if missing:
         raise ValueError(f"{path}: missing key {', '.join(missing)}")
-    return path, manifest
+    for key, kind in kinds.items():
+        if not _IS_KIND[kind](doc[key]):
+            raise ValueError(f"{path}: {prefix}{key} must be {kind}")
 
 
 def _out_dir(args) -> Path:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .codes import CodeMatrix
+from .resample import fftconvolve
 from .signal import SampledSignal
 from .spectrum import PowerSpectrum, power_spectrum
 
@@ -53,7 +53,7 @@ def pulse_compress(recorded: SampledSignal, unit: SampledSignal) -> SampledSigna
     if recorded.fs != unit.fs:
         raise ValueError("sample rates of recording and unit FVN differ")
     reversed_unit = unit.samples[::-1]
-    full = scipy.signal.fftconvolve(recorded.samples, reversed_unit)
+    full = fftconvolve(recorded.samples, reversed_unit)
     return SampledSignal(full[unit.samples.size - 1 :], recorded.fs)
 
 

@@ -5,6 +5,7 @@ requested position (64 taps total).  At integer positions the kernel
 collapses to a unit impulse, so on-grid evaluation is exact.  Positions
 outside the signal read zeros.  Evaluation is blocked: cache-sized chunks
 of positions, with the taps in the inner loop over one-chunk vectors.
+The module also holds the FFT helpers upsample2 and fftconvolve.
 """
 
 from __future__ import annotations
@@ -101,3 +102,22 @@ def upsample2(x: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         padded[n // 2] *= 0.5  # split the Nyquist bin between +-fs/2
     return scipy.fft.irfft(padded, 2 * n) * 2.0
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two non-empty 1-D arrays via one FFT product.
+
+    Real inputs go through rfft at the next fast real length, anything
+    complex through fft at the next fast complex length.  This is the
+    arithmetic of scipy.signal.fftconvolve in mode "full", so the results
+    are identical, without importing scipy.signal; like it, a length-1
+    input is a plain product.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        m = scipy.fft.next_fast_len(n, False)
+        return scipy.fft.ifft(scipy.fft.fft(a, m) * scipy.fft.fft(b, m), m)[:n]
+    m = scipy.fft.next_fast_len(n, True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, m) * scipy.fft.rfft(b, m), m)[:n]

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
+from numpy.polynomial.polynomial import polyval
 
 from .codes import CodeMatrix
 from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
@@ -54,6 +53,19 @@ def _is_minimum_phase(a: np.ndarray) -> bool:
     return True
 
 
+def _all_pole_db(a: np.ndarray, freqs: np.ndarray, fs: float) -> np.ndarray:
+    """20 log10 |1 / A(z)| at the given frequencies for A = 1 + a_1 z^-1 + ...
+
+    Horner evaluation on the unit circle in the same operations and order as
+    scipy.signal.freqz at explicit frequencies, so the values are identical.
+    """
+    zm1 = np.exp(-1j * (2 * np.pi * np.asarray(freqs, dtype=np.float64) / fs))
+    h = polyval(zm1, [1.0], tensor=False) / polyval(
+        zm1, np.concatenate([[1.0], a]), tensor=False
+    )
+    return 20.0 * np.log10(np.abs(h))
+
+
 @dataclass(frozen=True, eq=False)
 class ShapingFilter:
     """All-pole shaping filter 1 / A(z) given by its recursive coefficients.
@@ -82,10 +94,7 @@ class ShapingFilter:
 
     def magnitude_db(self, freqs: np.ndarray, fs: float) -> np.ndarray:
         """Magnitude of 1 / A at the given frequencies, in dB."""
-        _, h = scipy.signal.freqz(
-            [1.0], np.concatenate([[1.0], self.a]), worN=freqs, fs=fs
-        )
-        return 20.0 * np.log10(np.abs(h))
+        return _all_pole_db(self.a, freqs, fs)
 
 
 def assemble_sequence(
@@ -137,6 +146,8 @@ def multiplex(signals: list[SampledSignal]) -> SampledSignal:
 
 def shape_spectrum(signal: SampledSignal, filt: ShapingFilter) -> SampledSignal:
     """Run the signal through 1 / A(z) from initial rest."""
+    import scipy.signal  # here, not at the top: it alone takes ~1 s to import
+
     shaped = scipy.signal.lfilter(
         [1.0], np.concatenate([[1.0], filt.a]), signal.samples
     )
@@ -153,9 +164,10 @@ def inverse_shape(signal: SampledSignal, filt: ShapingFilter) -> SampledSignal:
     spans 150 dB or more between DC and Nyquist turns that rounding into
     errors of 1e-2 and worse.
     """
-    restored = scipy.signal.lfilter(
-        np.concatenate([[1.0], filt.a]), [1.0], signal.samples
-    )
+    # A goes first: with both equally long np.convolve sums in argument
+    # order, and this order is that of scipy.signal.lfilter(A, [1], x).
+    x = signal.samples
+    restored = np.convolve(np.concatenate([[1.0], filt.a]), x)[: x.size]
     return SampledSignal(restored, signal.fs)
 
 
@@ -203,6 +215,8 @@ def design_slope_filter(
     fractional slope as a staircase of gentle resonances; expect a maximum
     deviation around 1 dB at the default order over the default band.
     """
+    import scipy.optimize  # here, not at the top: only the design needs it
+
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < f_lo < f_hi < fs / 2:
@@ -228,10 +242,7 @@ def design_slope_filter(
 
     def residual(theta: np.ndarray, p: int) -> np.ndarray:
         a = _reflection_to_poly(squash * np.tanh(theta[:p]))
-        _, h = scipy.signal.freqz(
-            [1.0], np.concatenate([[1.0], a]), worN=freqs, fs=fs
-        )
-        return weight * (20.0 * np.log10(np.abs(h)) + theta[p] - target)
+        return weight * (_all_pole_db(a, freqs, fs) + theta[p] - target)
 
     ladder = [p for p in (4, 8, 12, 16, 20, 24, 32, 40) if p < order] + [order]
     theta = np.array([np.mean(target)])

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
-from .resample import resample_at, upsample2
+from .resample import fftconvolve, resample_at, upsample2
 from .signal import SampledSignal
 
 
@@ -163,7 +162,7 @@ def simulate(
     acc = np.zeros(length)
     for s, fir in zip(inputs, target.paths):
         driven = _polynomial(s.samples, target.nonlinearity)
-        out = scipy.signal.fftconvolve(driven, fir)
+        out = fftconvolve(driven, fir)
         acc[: out.size] += out
     captured = SampledSignal(acc, fs)
     if target.drift is not None:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvnlab
 from fvnlab import SimTarget, NoiseSpec, design_slope_filter, fvn, selftest
 from fvnlab.cli import main
 from fvnlab.fileio import read_manifest, read_wav, write_filter
@@ -148,6 +153,35 @@ def test_measure_without_manifest_is_a_validation_error(tmp_path):
     assert run("measure", tmp_path / "nothing.wav", empty, "--out-dir", tmp_path) == 1
 
 
+_DROP = object()
+
+
+def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP):
+    """Set `key` of a generated manifest to `value` (or drop it); `command`
+    must then exit 1 with one error line that names the key."""
+    gen = tmp_path / "gen"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, seed=2) == 0
+    path = gen / "manifest.json"
+    manifest = read_manifest(path)
+    doc, name = manifest, key
+    if key.startswith("channels["):
+        doc, name = manifest["channels"][0], key.split(".")[1]
+    if value is _DROP:
+        del doc[name]
+    else:
+        doc[name] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    if command == "simulate":
+        argv = ["simulate", gen]
+    else:
+        argv = [command, gen / "channel_0.wav", gen]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
 @pytest.mark.parametrize(
     "command, drop",
     [
@@ -158,24 +192,46 @@ def test_measure_without_manifest_is_a_validation_error(tmp_path):
     ],
 )
 def test_manifest_missing_a_key_is_a_validation_error(tmp_path, capsys, command, drop):
-    gen = tmp_path / "gen"
-    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, seed=2) == 0
-    path = gen / "manifest.json"
-    manifest = read_manifest(path)
-    if drop.startswith("channels"):
-        del manifest["channels"][0][drop.split(".")[1]]
-    else:
-        del manifest[drop]
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    if command == "simulate":
-        argv = ["simulate", gen]
-    else:
-        argv = [command, gen / "channel_0.wav", gen]
-    assert run(*argv, "--out-dir", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert drop in err
+    check_manifest_rejected(tmp_path, capsys, command, drop)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("measure", "period_no", None),
+        ("simulate", "channels", 5),
+        ("align", "fs", "44100"),
+        ("measure", "sigma_t", [0.005]),
+        ("measure", "codes", True),
+        ("simulate", "repetitions", 12.0),
+        ("measure", "channels[0].seed", None),
+        ("measure", "shape", {"a": [0.5]}),
+    ],
+)
+def test_manifest_value_of_the_wrong_type_is_a_validation_error(
+    tmp_path, capsys, command, key, value
+):
+    check_manifest_rejected(tmp_path, capsys, command, key, value)
+
+
+def test_importing_the_cli_skips_scipy_signal_and_optimize():
+    """Only shaping and filter design load them; a fresh interpreter shows
+    it, since this test process imports both anyway."""
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    code = (
+        "import sys, fvnlab.cli; "
+        "print(sorted({'scipy.signal', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_missing_audio_is_a_processing_error(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from fvnlab import resample
-from fvnlab.resample import HALF_TAPS, resample_at, upsample2
+from fvnlab.resample import HALF_TAPS, fftconvolve, resample_at, upsample2
 
 _CHUNK = 1 << 16  # einsum_resample_at's chunk
 
@@ -147,3 +148,19 @@ def test_upsample2_spectrum_stays_in_the_lower_half_band():
 def test_upsample2_validation():
     with pytest.raises(ValueError):
         upsample2(np.array([1.0]))
+
+
+@pytest.mark.parametrize("n_kernel", [1, 7, 1000, 1009, 4000])
+@pytest.mark.parametrize("complex_kernel", [False, True])
+def test_fftconvolve_matches_scipy(n_kernel, complex_kernel):
+    """Kernels shorter than, as long as and longer than the 1009-sample
+    signal; 1009 and 1009 + 1009 - 1 = 2017 are primes, not 5-smooth."""
+    rng = np.random.default_rng(n_kernel)
+    x = rng.standard_normal(1009)
+    kernel = rng.standard_normal(n_kernel)
+    if complex_kernel:
+        kernel = kernel * np.exp(1j * rng.uniform(-np.pi, np.pi, n_kernel))
+    got = fftconvolve(x, kernel)
+    expected = scipy.signal.fftconvolve(x, kernel)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)

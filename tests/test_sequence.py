@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from fvnlab import (
     FvnSpec,
@@ -15,6 +16,7 @@ from fvnlab import (
     shape_spectrum,
     synthesize_unit_fvn,
 )
+from fvnlab import sequence
 
 FS = 44100.0
 
@@ -171,3 +173,31 @@ def test_design_validation():
         design_slope_filter(-3.0, FS, order=0)
     with pytest.raises(ValueError):
         design_slope_filter(-3.0, FS, f_lo=0.0)
+
+
+def freqz_db(a, freqs, fs):
+    """Reference: the magnitude through scipy.signal.freqz, as it was."""
+    _, h = scipy.signal.freqz([1.0], np.concatenate([[1.0], a]), worN=freqs, fs=fs)
+    return 20.0 * np.log10(np.abs(h))
+
+
+def test_magnitude_db_matches_freqz():
+    filt = slope_filter(-3.0)
+    freqs = np.concatenate([[0.0, FS / 2], np.linspace(1.0, FS / 2, 997)])
+    assert np.array_equal(filt.magnitude_db(freqs, FS), freqz_db(filt.a, freqs, FS))
+
+
+@pytest.mark.parametrize("n", [1, 20, 33, 5000])
+def test_inverse_shape_matches_lfilter(n):
+    """Signals shorter than, as long as and longer than the FIR A(z)."""
+    filt = slope_filter(-3.0)
+    x = np.random.default_rng(n).standard_normal(n)
+    expected = scipy.signal.lfilter(np.concatenate([[1.0], filt.a]), [1.0], x)
+    assert np.array_equal(inverse_shape(SampledSignal(x, FS), filt).samples, expected)
+
+
+def test_slope_design_matches_the_freqz_residual(monkeypatch):
+    """The fit converges to the same coefficients with the old residual."""
+    designed = slope_filter(-3.0)
+    monkeypatch.setattr(sequence, "_all_pole_db", freqz_db)
+    assert np.array_equal(designed.a, design_slope_filter(-3.0, FS).a)
