@@ -46,6 +46,10 @@ GENERATE_DEFAULTS = {
     "shape": None,
 }
 _NUMBER, _INTEGER = "a finite number", "an integer"
+_CONFIG_KEYS = {
+    "fs": _NUMBER, "sigma_t": _NUMBER, "codes": _INTEGER, "period_no": _INTEGER,
+    "reps": _INTEGER, "seed": _INTEGER, "shape": "null or a string path",
+}
 _MANIFEST_KEYS = {
     "fs": _NUMBER,
     "sigma_t": _NUMBER,
@@ -64,6 +68,7 @@ _IS_KIND = {
     and abs(v) <= sys.float_info.max,
     _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
+    "null or a string path": lambda v: v is None or isinstance(v, str),
     "a list of objects": lambda v: isinstance(v, list)
     and all(isinstance(c, dict) for c in v),
 }
@@ -73,11 +78,15 @@ def _resolve_config(args, defaults: dict) -> dict:
     """defaults < JSON config file < flags < FVNLAB_SEED."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
+        path = Path(args.config)
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: expected a JSON object")
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(doc)
+        _check_keys(path, cfg, _CONFIG_KEYS, "")
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:

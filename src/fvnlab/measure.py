@@ -4,7 +4,8 @@ Compressing a recording with the time-reversed unit FVN collapses every
 repetition into (a delayed copy of) the system impulse response.  Averaging
 a code-aligned block of periods then cancels content carried by any other
 code row exactly, while content carried by the matching row adds
-coherently.
+coherently.  Both steps are linear, so demultiplex folds the code-weighted
+periods first and then compresses one short buffer per code row.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import CodeMatrix
 from .resample import fftconvolve
@@ -115,6 +117,13 @@ def demultiplex(
     than two periods, so trailing tail-only periods are not averaged in.
     The operation is linear in the recording, so scaled or summed
     recordings demultiplex to scaled or summed results.
+
+    The result is pulse_compress then synchronized_average, up to rounding,
+    in the other order; both stay as the reference, so the block rule below
+    is synchronized_average's, written once more.  Fold: that block is
+    summed, each period times its code element and period_no + L - 1
+    samples long (L the unit length, zero-padded past the recording's end),
+    into one buffer.  Compress: correlate that buffer with the unit once.
     """
     if not units:
         raise ValueError("need at least one unit FVN")
@@ -122,30 +131,44 @@ def demultiplex(
         code_row_indices = list(range(len(units)))
     if len(code_row_indices) != len(units):
         raise ValueError("one code row index per unit required")
-    if max(code_row_indices) >= codes.rows:
-        raise ValueError("code row index out of range")
-    irs = []
-    periods_averaged = None
-    for unit, row_index in zip(units, code_row_indices):
-        compressed = pulse_compress(recorded, unit)
-        averaged = synchronized_average(
-            compressed, codes.row(row_index), period_no, guard_periods,
-            total_periods=total_periods,
+    for index in code_row_indices:
+        if not 0 <= index < codes.rows:
+            raise ValueError(f"code row index {index} out of range 0..{codes.rows - 1}")
+    if any(unit.fs != recorded.fs for unit in units):
+        raise ValueError("sample rates of recording and unit FVN differ")
+    if period_no < 1:
+        raise ValueError("period_no must be >= 1")
+    n = codes.length
+    total = len(recorded) // period_no
+    if total_periods is not None:
+        total = min(total, total_periods)
+    available = total - 2 * guard_periods
+    count = (available // n) * n if available > 0 else 0
+    if count < n:
+        raise ValueError(
+            f"too few periods: {total} total, need at least "
+            f"{n + 2 * guard_periods} for one code period plus guards"
         )
-        irs.append(averaged)
-        total = len(compressed) // period_no
-        if total_periods is not None:
-            total = min(total, total_periods)
-        available = total - 2 * guard_periods
-        periods_averaged = (available // codes.length) * codes.length
-    linear = SampledSignal(
-        np.mean([ir.samples for ir in irs], axis=0), recorded.fs
-    )
+    start = guard_periods + (available - count) // 2
+    first, end = start * period_no, (start + count) * period_no
+    end += max(unit.samples.size for unit in units) - 1
+    block = recorded.samples[first:end]
+    if block.size < end - first:
+        block = np.concatenate([block, np.zeros(end - first - block.size)])
+    phases = (start + np.arange(count)) % n
+    irs = []
+    for unit, row_index in zip(units, code_row_indices):
+        size = unit.samples.size
+        periods = sliding_window_view(block, period_no + size - 1)[::period_no][:count]
+        folded = codes.row(row_index)[phases] @ periods
+        ir = fftconvolve(folded, unit.samples[::-1])[size - 1 : size - 1 + period_no]
+        irs.append(SampledSignal(ir / count, recorded.fs))
+    linear = SampledSignal(np.mean([ir.samples for ir in irs], axis=0), recorded.fs)
     return MeasurementResult(
         per_code_irs=irs,
         linear_ir=linear,
         period_no=period_no,
-        periods_averaged=periods_averaged,
+        periods_averaged=count,
         code_row_indices=list(code_row_indices),
     )
 
@@ -167,10 +190,8 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
     fs = irs[0].fs
     deviations = [SampledSignal(row - mean, fs) for row in stack]
     dev_rms = np.sqrt(np.mean((stack - mean) ** 2, axis=1))
-    pooled = np.mean(
-        [power_spectrum(dev).power for dev in deviations], axis=0
-    )
-    freqs = power_spectrum(deviations[0]).freqs
+    spectra = [power_spectrum(dev) for dev in deviations]
+    pooled = np.mean([spectrum.power for spectrum in spectra], axis=0)
     return MeasurementResult(
         per_code_irs=irs,
         linear_ir=SampledSignal(mean, fs),
@@ -179,7 +200,7 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
         code_row_indices=result.code_row_indices,
         deviations=deviations,
         deviation_rms=dev_rms,
-        pooled_deviation_power=PowerSpectrum(freqs, pooled),
+        pooled_deviation_power=PowerSpectrum(spectra[0].freqs, pooled),
     )
 
 

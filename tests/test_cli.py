@@ -156,9 +156,9 @@ def test_measure_without_manifest_is_a_validation_error(tmp_path):
 _DROP = object()
 
 
-def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP):
+def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP, names=None):
     """Set `key` of a generated manifest to `value` (or drop it); `command`
-    must then exit 1 with one error line that names the key."""
+    must then exit 1 with one error line that names the key (or `names`)."""
     gen = tmp_path / "gen"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, seed=2) == 0
     path = gen / "manifest.json"
@@ -179,7 +179,7 @@ def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP):
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert key in err
+    assert (key if names is None else names) in err
 
 
 @pytest.mark.parametrize(
@@ -212,6 +212,39 @@ def test_manifest_value_of_the_wrong_type_is_a_validation_error(
     tmp_path, capsys, command, key, value
 ):
     check_manifest_rejected(tmp_path, capsys, command, key, value)
+
+
+def test_negative_code_row_in_the_manifest_is_a_validation_error(tmp_path, capsys):
+    """Row -1 would otherwise measure with the last code row."""
+    check_manifest_rejected(
+        tmp_path, capsys, "measure", "channels[0].code_row", -1, names="row index -1"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"codes": None}, "codes"),
+        ([1, 2], "JSON object"),
+        ({"reps": "x"}, "reps"),
+        ({"fs": float("inf")}, "fs"),
+        ({"sigma_t": True}, "sigma_t"),
+        ({"period_no": 4410.0}, "period_no"),
+        ({"seed": [1]}, "seed"),
+        ({"shape": 3}, "shape"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_validation_error(
+    tmp_path, capsys, doc, names
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("generate", "--config", cfg, "--out-dir", tmp_path / "gen") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+    assert not (tmp_path / "gen").exists()
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():

@@ -11,6 +11,7 @@ from fvnlab import (
     build_code_matrix,
     center_pulse,
     demultiplex,
+    measure,
     multiplex,
     noise_floor,
     pulse_compress,
@@ -175,6 +176,70 @@ def test_demultiplex_validation():
         demultiplex(sig, [pulse], codes, 4410, code_row_indices=[0, 1])
     with pytest.raises(ValueError):
         demultiplex(sig, [pulse], codes, 4410, code_row_indices=[2])
+    with pytest.raises(ValueError):  # numpy indexing would read the last row
+        demultiplex(sig, [pulse], codes, 4410, code_row_indices=[-1])
+    with pytest.raises(ValueError):
+        demultiplex(SampledSignal(sig.samples, 48000.0), [pulse], codes, 4410)
+
+
+def composed_irs(recorded, units, codes, period_no, rows, guard_periods, total_periods):
+    """Per-code IRs by the reference path: a full-length compression per
+    unit, then the code average."""
+    return [
+        synchronized_average(
+            pulse_compress(recorded, unit),
+            codes.row(row),
+            period_no,
+            guard_periods,
+            total_periods=total_periods,
+        ).samples
+        for unit, row in zip(units, rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "k_codes, period_no, unit_len, length, guard_periods, total_periods, count",
+    [
+        (1, 512, 4096, 12 * 512 + 4095, 2, 12, 8),  # L > P, tail capped
+        (1, 512, 4096, 12 * 512 + 4095, 2, None, 12),  # L > P, zero-padded
+        (2, 1000, 257, 19 * 1000 + 437, 2, None, 8),  # mid-period end, 7 left over
+        (2, 300, 1023, 33 * 300 + 100, 0, 33, 32),  # no guards, zero-padded
+        (8, 64, 100, 521 * 64 + 30, 2, None, 512),  # 5 left over, mid-period end
+        (8, 200, 129, 530 * 200, 2, 519, 512),  # L < P, 3 left over
+    ],
+)
+def test_fold_then_compress_matches_compress_then_average(
+    k_codes, period_no, unit_len, length, guard_periods, total_periods, count
+):
+    rng = np.random.default_rng(30 + k_codes)
+    codes = build_code_matrix(k_codes)
+    recorded = SampledSignal(rng.standard_normal(length), FS)
+    units = [SampledSignal(rng.standard_normal(unit_len + 37 * i), FS) for i in range(k_codes)]
+    rows = list(range(k_codes))[::-1]  # not the default pairing
+    expected = composed_irs(
+        recorded, units, codes, period_no, rows, guard_periods, total_periods
+    )
+    result = demultiplex(
+        recorded, units, codes, period_no, code_row_indices=rows,
+        guard_periods=guard_periods, total_periods=total_periods,
+    )
+    assert result.periods_averaged == count
+    for ir, want in zip(result.per_code_irs, expected):
+        assert ir.samples.shape == want.shape
+        assert np.max(np.abs(ir.samples - want)) <= 1e-12 * np.max(np.abs(want))
+    mean = np.mean(expected, axis=0)
+    assert np.max(np.abs(result.linear_ir.samples - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+
+def test_demultiplex_stays_off_the_full_length_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-length path called")
+
+    monkeypatch.setattr(measure, "pulse_compress", refuse)
+    monkeypatch.setattr(measure, "synchronized_average", refuse)
+    recorded, units, codes = two_channel_recording([np.ones(1), np.ones(1)])
+    result = demultiplex(recorded, units, codes, 4410, total_periods=12)
+    assert result.periods_averaged == 8
 
 
 def test_end_to_end_single_channel():
