@@ -13,20 +13,15 @@ from .align import (
     apply_warp,
     build_probe,
     build_warp_map,
-    instantaneous_frequency,
     track_phase,
 )
 from .codes import CodeMatrix, build_code_matrix, verify_orthogonality
 from .fvn import (
-    EnvelopeDiagnostics,
     SIX_TERM_COEFFS,
     FvnSpec,
-    OvnSpec,
     PhaseSpectrum,
     center_pulse,
-    envelope_diagnostics,
     fvn_phase,
-    generate_ovn,
     phase_unit,
     synthesize_unit_fvn,
 )
@@ -42,6 +37,7 @@ from .sequence import (
     SequencePlan,
     ShapingFilter,
     assemble_sequence,
+    coded_channels,
     design_slope_filter,
     inverse_shape,
     multiplex,
@@ -62,11 +58,9 @@ __all__ = [
     "AnalyticProbe",
     "CodeMatrix",
     "DriftSpec",
-    "EnvelopeDiagnostics",
     "FvnSpec",
     "MeasurementResult",
     "NoiseSpec",
-    "OvnSpec",
     "PhaseSpectrum",
     "PhaseTrajectory",
     "PowerSpectrum",
@@ -84,12 +78,10 @@ __all__ = [
     "build_probe",
     "build_warp_map",
     "center_pulse",
+    "coded_channels",
     "demultiplex",
     "design_slope_filter",
-    "envelope_diagnostics",
     "fvn_phase",
-    "generate_ovn",
-    "instantaneous_frequency",
     "inverse_shape",
     "multiplex",
     "noise_floor",

@@ -56,10 +56,6 @@ class PhaseTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "phase", phase)
 
-    def slope(self) -> float:
-        """Mean phase rate in rad/s from a least-squares line fit."""
-        return float(np.polyfit(self.times, self.phase, 1)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class WarpMap:
@@ -124,26 +120,6 @@ def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
 def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
     """angle(y[n+1] conj(y[n])) * fs / (2 pi) for every interval [n, n+1]."""
     return np.angle(y[1:] * np.conj(y[:-1])) * fs / (2.0 * np.pi)
-
-
-def instantaneous_frequency(
-    y: np.ndarray, fs: float, floor_rel: float = 1e-6
-) -> tuple[SampledSignal, np.ndarray]:
-    """Per-interval frequency from phase differences of an analytic signal.
-
-    Element n is angle(y[n+1] conj(y[n])) * fs / (2 pi), the exact average
-    frequency over the interval [n, n+1].  The boolean mask flags intervals
-    whose amplitude stays above floor_rel times the median magnitude; phase
-    angles below that floor are numerically meaningless.
-    """
-    y = np.asarray(y)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("y must be a 1-D array with at least 2 samples")
-    freq = _interval_frequency(y, fs)
-    mag = np.abs(y)
-    floor = floor_rel * np.median(mag)
-    valid = (mag[1:] >= floor) & (mag[:-1] >= floor)
-    return SampledSignal(freq, fs), valid
 
 
 def track_phase(

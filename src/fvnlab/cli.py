@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,16 +23,8 @@ import numpy as np
 from . import fileio, selftest
 from .align import apply_warp, build_probe, build_warp_map, track_phase
 from .codes import CodeMatrix, build_code_matrix
-from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
 from .measure import demultiplex, separate_nonlinear
-from .sequence import (
-    SequencePlan,
-    ShapingFilter,
-    assemble_sequence,
-    inverse_shape,
-    multiplex,
-    shape_spectrum,
-)
+from .sequence import ShapingFilter, coded_channels, inverse_shape, multiplex
 from .signal import SampledSignal
 from .sim import DriftSpec, SimTarget, simulate
 from .spectrum import power_spectrum, third_octave_smooth
@@ -91,10 +84,21 @@ def _resolve_config(args, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    env_seed = os.environ.get("FVNLAB_SEED")
-    if env_seed is not None and "seed" in cfg:
-        cfg["seed"] = int(env_seed)
+    env_seed = _env_seed()
+    if env_seed is not None:
+        cfg["seed"] = env_seed
     return cfg
+
+
+def _env_seed() -> int | None:
+    """FVNLAB_SEED as an integer, or None when it is not set."""
+    value = os.environ.get("FVNLAB_SEED")
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"FVNLAB_SEED must be an integer, got {value!r}") from None
 
 
 def _read_manifest(arg: str) -> tuple[Path, dict]:
@@ -134,36 +138,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _channels_from_manifest(
-    manifest: dict, with_signals: bool
-) -> tuple[CodeMatrix, list[SampledSignal], list[SampledSignal]]:
-    """Rebuild unit pulses (and optionally the emitted signals) from a manifest."""
+def _channels_from_manifest(manifest: dict) -> tuple[
+    CodeMatrix, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
+]:
+    """Code matrix, shaping filter, unit pulses and lazily emitted signals."""
     codes = build_code_matrix(int(manifest["codes"]))
     filt = None
     if manifest.get("shape"):
         filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
-    units = []
-    signals = []
-    for channel in manifest["channels"]:
-        spec = FvnSpec(
-            sigma_t=float(manifest["sigma_t"]),
-            fs=float(manifest["fs"]),
-            seed=int(channel["seed"]),
-        )
-        unit = center_pulse(synthesize_unit_fvn(spec))
-        units.append(unit)
-        if with_signals:
-            plan = SequencePlan(
-                fvn_spec=spec,
-                code_row_index=int(channel["code_row"]),
-                period_no=int(manifest["period_no"]),
-                repetitions=int(manifest["repetitions"]),
-            )
-            signal = assemble_sequence(plan, codes, unit=unit)
-            if filt is not None:
-                signal = shape_spectrum(signal, filt)
-            signals.append(signal)
-    return codes, units, signals
+    channels = manifest["channels"]
+    units, emitted = coded_channels(
+        float(manifest["sigma_t"]),
+        float(manifest["fs"]),
+        [int(channel["seed"]) for channel in channels],
+        [int(channel["code_row"]) for channel in channels],
+        codes,
+        int(manifest["period_no"]),
+        int(manifest["repetitions"]),
+        filt,
+    )
+    return codes, filt, units, emitted
 
 
 def _check_fs(recorded: SampledSignal, manifest: dict) -> None:
@@ -192,7 +186,8 @@ def cmd_generate(args) -> int:
         ],
         "shape": filt.a.tolist() if filt is not None else None,
     }
-    _, _, signals = _channels_from_manifest(manifest, with_signals=True)
+    *_, emitted = _channels_from_manifest(manifest)
+    signals = list(emitted)
     for channel, signal in zip(manifest["channels"], signals):
         fileio.write_wav(out / channel["file"], signal)
     if len(signals) > 1:
@@ -221,10 +216,9 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             f"target has {len(target.paths)} paths for {len(inputs)} channels"
         )
-    seed = int(manifest["seed"]) if args.seed is None else args.seed
-    env_seed = os.environ.get("FVNLAB_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    seed = _env_seed()
+    if seed is None:
+        seed = int(manifest["seed"]) if args.seed is None else args.seed
     recorded = simulate(target, drive, seed=seed)
     out = _out_dir(args)
     fileio.write_wav(out / "recording.wav", recorded)
@@ -243,9 +237,8 @@ def cmd_measure(args) -> int:
     _, manifest = _read_manifest(args.manifest)
     recorded = fileio.read_wav(args.recording)
     _check_fs(recorded, manifest)
-    codes, units, _ = _channels_from_manifest(manifest, with_signals=False)
-    if manifest.get("shape"):
-        filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
+    codes, filt, units, _ = _channels_from_manifest(manifest)
+    if filt is not None:
         recorded = inverse_shape(recorded, filt)
     rows = [int(ch["code_row"]) for ch in manifest["channels"]]
     result = demultiplex(
@@ -304,7 +297,8 @@ def cmd_align(args) -> int:
     _, manifest = _read_manifest(args.manifest)
     recorded = fileio.read_wav(args.recording)
     _check_fs(recorded, manifest)
-    _, _, signals = _channels_from_manifest(manifest, with_signals=True)
+    *_, emitted = _channels_from_manifest(manifest)
+    signals = list(emitted)
     reference = multiplex(signals) if len(signals) > 1 else signals[0]
     fs = recorded.fs
     period = int(manifest["period_no"])

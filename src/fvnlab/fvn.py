@@ -1,4 +1,4 @@
-"""Velvet noise and its frequency-domain variant (FVN).
+"""Frequency-domain velvet noise (FVN): phase construction and synthesis.
 
 A unit FVN is the impulse response of an all-pass filter whose phase is a
 superposition of compact six-term cosine bumps with random signs, centered
@@ -37,27 +37,6 @@ SIX_TERM_COEFFS = np.array(
         0.0007833203,
     ]
 )
-
-
-@dataclass(frozen=True)
-class OvnSpec:
-    """Parameters of an ordinary (time-domain) velvet-noise sequence.
-
-    mean_interval_td is the average pulse spacing in samples and must be
-    greater than 1 so that consecutive jittered pulses cannot collide.
-    """
-
-    mean_interval_td: float
-    num_pulses: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.mean_interval_td > 1.0:
-            raise ValueError(
-                f"mean_interval_td must exceed 1 sample, got {self.mean_interval_td}"
-            )
-        if self.num_pulses < 1:
-            raise ValueError("num_pulses must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -130,58 +109,6 @@ class PhaseSpectrum:
     @property
     def dft_size(self) -> int:
         return self.phase.size
-
-
-@dataclass(frozen=True)
-class EnvelopeDiagnostics:
-    """Envelope-shape summary of a unit FVN.
-
-    center_rms and flank_rms are RMS values of the peak-normalized smoothed
-    envelope, sampled on a sigma_t / 4 grid around the envelope peak: the
-    central 9 points (offsets -4..4) and the 10 flanking points (offsets
-    5..9 on both sides).  A smooth, concentrated envelope has a large
-    center-to-flank ratio; a ragged one does not.
-    """
-
-    center_rms: float
-    flank_rms: float
-    effective_duration: float
-
-    @property
-    def center_flank_ratio(self) -> float:
-        return self.center_rms / self.flank_rms
-
-    @property
-    def smooth(self) -> bool:
-        # Threshold picked from the ratio sweep: b_w / f_d = 2 designs sit
-        # near 9 across seeds, b_w / f_d = 1 near 3.5, so 5 splits the
-        # recommended regime from the rest with comfortable margin.
-        return self.center_flank_ratio > 5.0
-
-
-def _ovn_positions(td: float, jitter: np.ndarray) -> np.ndarray:
-    """Nearest-integer pulse positions m * td + jitter * (td - 1)."""
-    m = np.arange(jitter.size)
-    return np.rint(m * td + jitter * (td - 1.0)).astype(np.int64)
-
-
-def generate_ovn(spec: OvnSpec, fs: float = 1.0) -> SampledSignal:
-    """Generate an ordinary velvet-noise sequence.
-
-    The buffer is ceil(td * num_pulses) samples long and holds exactly
-    num_pulses nonzero samples of value +-1.  Because the jitter spans only
-    td - 1 samples, consecutive pulse positions always differ by more than
-    one sample before rounding, so pulses never collide.
-    """
-    rng = np.random.default_rng(spec.seed)
-    r1 = rng.random(spec.num_pulses)
-    r2 = rng.random(spec.num_pulses)
-    positions = _ovn_positions(spec.mean_interval_td, r1)
-    amplitudes = np.where(r2 >= 0.5, 1.0, -1.0)
-    length = int(np.ceil(spec.mean_interval_td * spec.num_pulses))
-    out = np.zeros(length)
-    out[positions] = amplitudes
-    return SampledSignal(out, fs)
 
 
 def phase_unit(offset, half_width: float):
@@ -283,61 +210,3 @@ def center_pulse(unit: SampledSignal) -> SampledSignal:
     """
     samples = unit.samples
     return SampledSignal(np.roll(samples, samples.size // 2), unit.fs)
-
-
-def _analytic_envelope(x: np.ndarray) -> np.ndarray:
-    """Envelope magnitude via spectral one-siding (circular Hilbert)."""
-    n = x.size
-    spec = np.fft.fft(x)
-    gains = np.zeros(n)
-    gains[0] = 1.0
-    gains[n // 2] = 1.0
-    gains[1 : n // 2] = 2.0
-    return np.abs(np.fft.ifft(spec * gains))
-
-
-def _circular_moving_average(x: np.ndarray, width: int) -> np.ndarray:
-    n = x.size
-    kernel = np.zeros(n)
-    idx = np.arange(-(width // 2), width - width // 2)
-    kernel[idx % n] = 1.0 / width
-    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
-
-
-def envelope_diagnostics(spec: FvnSpec) -> EnvelopeDiagnostics:
-    """Measure envelope-shape statistics of one synthesized unit FVN.
-
-    The envelope is the analytic magnitude smoothed by a moving average,
-    normalized to unit peak.  The smoothing width and the sampling grid are
-    tied to the duration implied by the frequency spacing (1 / (5 f_d),
-    which equals sigma_t for default designs) rather than to sigma_t
-    itself, so two specs with the same b_w / f_d ratio yield comparable
-    diagnostics at any absolute scale.  effective_duration is the square
-    root of the second moment of the squared envelope around its circular
-    center of gravity, in seconds; for the default design the whole pulse
-    (about +-2.5 standard deviations) then fits inside +-sigma_t.
-    """
-    unit = synthesize_unit_fvn(spec)
-    samples = unit.samples
-    k = samples.size
-    sigma_ref = 1.0 / (5.0 * spec.f_d)
-    width = max(1, int(round(sigma_ref / 8.0 * spec.fs)))
-    env = _circular_moving_average(_analytic_envelope(samples), width)
-    env = env / np.max(env)
-    peak = int(np.argmax(env))
-
-    step = max(1, int(round(sigma_ref / 4.0 * spec.fs)))
-    center_offsets = np.arange(-4, 5)
-    flank_offsets = np.concatenate([np.arange(-9, -4), np.arange(5, 10)])
-    center = env[(peak + center_offsets * step) % k]
-    flank = env[(peak + flank_offsets * step) % k]
-
-    weights = env**2
-    delta = ((np.arange(k) - peak + k // 2) % k) - k // 2
-    mean = np.sum(weights * delta) / np.sum(weights)
-    var = np.sum(weights * (delta - mean) ** 2) / np.sum(weights)
-    return EnvelopeDiagnostics(
-        center_rms=float(np.sqrt(np.mean(center**2))),
-        flank_rms=float(np.sqrt(np.mean(flank**2))),
-        effective_duration=float(np.sqrt(var) / spec.fs),
-    )

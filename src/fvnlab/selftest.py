@@ -21,6 +21,7 @@ from .measure import demultiplex, separate_nonlinear
 from .sequence import (
     SequencePlan,
     assemble_sequence,
+    coded_channels,
     design_slope_filter,
     inverse_shape,
     multiplex,
@@ -112,25 +113,12 @@ def criterion_orthogonality() -> tuple[bool, str]:
     return True, "B B^T = N I exact (integer) for k_codes 1..8"
 
 
-def _coded_channels(k_codes: int, seed: int, repetitions: int):
-    """Code matrix, unit pulses and sequences of k_codes channels with seeds
-    seed, seed + 1, ..., sigma_t 5 ms and 4410-sample periods."""
-    codes = build_code_matrix(k_codes)
-    units, seqs = [], []
-    for i in range(k_codes):
-        spec = FvnSpec(sigma_t=0.005, fs=FS, seed=seed + i)
-        units.append(center_pulse(synthesize_unit_fvn(spec)))
-        plan = SequencePlan(
-            fvn_spec=spec, code_row_index=i, period_no=4410, repetitions=repetitions
-        )
-        seqs.append(assemble_sequence(plan, codes, unit=units[-1]))
-    return codes, units, seqs
-
-
 def criterion_demultiplex() -> tuple[bool, str]:
     """Two multiplexed channels through two FIR paths separate cleanly."""
     start = time.perf_counter()
-    codes, units, seqs = _coded_channels(2, 500, 12)
+    codes = build_code_matrix(2)
+    units, seqs = coded_channels(0.005, FS, [500, 501], [0, 1], codes, 4410, 12)
+    seqs = list(seqs)
     rng = np.random.default_rng(12)
     paths = []
     for _ in range(2):
@@ -170,8 +158,9 @@ def criterion_nonlinear_separation() -> tuple[bool, str]:
     channel must sit at least 40 dB above the zero-cubic run's floor.
     """
     start = time.perf_counter()
-    codes, units, seqs = _coded_channels(4, 300, 36)
-    mux = multiplex(seqs)
+    codes = build_code_matrix(4)
+    units, seqs = coded_channels(0.005, FS, range(300, 304), range(4), codes, 4410, 36)
+    mux = multiplex(list(seqs))
     g = np.random.default_rng(11).standard_normal(64)
     g /= np.linalg.norm(g)
     truth = np.concatenate([g, np.zeros(4410 - g.size)])
@@ -280,13 +269,9 @@ def criterion_drift_recovery() -> tuple[bool, str]:
     """100 ppm linear drift and a sinusoidal wobble are measured and undone."""
     start = time.perf_counter()
     codes = build_code_matrix(1)
-    spec = FvnSpec(sigma_t=0.005, fs=FS, seed=9)
-    unit = center_pulse(synthesize_unit_fvn(spec))
     period = 2205
-    plan = SequencePlan(
-        fvn_spec=spec, code_row_index=0, period_no=period, repetitions=1200
-    )
-    seq = assemble_sequence(plan, codes, unit=unit)  # 60 s, fundamental 20 Hz
+    (unit,), seqs = coded_channels(0.005, FS, [9], [0], codes, period, 1200)
+    (seq,) = seqs  # 60 s, fundamental 20 Hz
 
     def peak_of(recording: SampledSignal) -> float:
         res = demultiplex(recording, [unit], codes, period, total_periods=1200)
@@ -346,7 +331,9 @@ def criterion_drift_recovery() -> tuple[bool, str]:
 
 def _pipeline_fingerprint() -> bytes:
     """One full generate/simulate/measure pass, reduced to raw bytes."""
-    codes, units, seqs = _coded_channels(2, 700, 12)
+    codes = build_code_matrix(2)
+    units, seqs = coded_channels(0.005, FS, [700, 701], [0, 1], codes, 4410, 12)
+    seqs = list(seqs)
     rng = np.random.default_rng(31)
     paths = [rng.standard_normal(64) for _ in range(2)]
     target = SimTarget(

@@ -8,6 +8,7 @@ receiver separate overlapping content again.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,45 @@ def inverse_shape(signal: SampledSignal, filt: ShapingFilter) -> SampledSignal:
     x = signal.samples
     restored = np.convolve(np.concatenate([[1.0], filt.a]), x)[: x.size]
     return SampledSignal(restored, signal.fs)
+
+
+def coded_channels(
+    sigma_t: float,
+    fs: float,
+    seeds: Sequence[int],
+    code_rows: Sequence[int],
+    codes: CodeMatrix,
+    period_no: int,
+    repetitions: int,
+    filt: ShapingFilter | None = None,
+) -> tuple[list[SampledSignal], Iterator[SampledSignal]]:
+    """Unit pulses and emitted signals of code-multiplexed channels.
+
+    Channel i emits center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t, fs,
+    seeds[i]))) every period_no samples with the polarities of code row
+    code_rows[i], through `filt` if one is given.  The units come back as a
+    list and the emitted signals as a lazy iterator, so a receiver, which
+    compresses with the units only, assembles and shapes nothing.  A pulse
+    buffer longer than the whole emission is refused before synthesis.
+    """
+    specs = [FvnSpec(sigma_t=sigma_t, fs=fs, seed=seed) for seed in seeds]
+    emission = period_no * repetitions
+    if any(spec.dft_size_k > emission for spec in specs):
+        raise ValueError(
+            f"sigma_t {sigma_t} s at fs {fs} Hz needs a "
+            f"2^{specs[0].dft_size_k.bit_length() - 1}-sample pulse buffer, "
+            f"longer than the {emission}-sample emission (period_no x repetitions)"
+        )
+    units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
+    emitted = (
+        assemble_sequence(
+            SequencePlan(spec, row, period_no, repetitions), codes, unit=unit
+        )
+        for spec, row, unit in zip(specs, code_rows, units)
+    )
+    if filt is not None:
+        emitted = (shape_spectrum(signal, filt) for signal in emitted)
+    return units, emitted
 
 
 def _reflection_to_poly(k: np.ndarray) -> np.ndarray:

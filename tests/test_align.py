@@ -19,7 +19,7 @@ from fvnlab import (
     build_warp_map,
     track_phase,
 )
-from fvnlab.align import instantaneous_frequency
+from fvnlab.align import _interval_frequency
 from fvnlab.resample import HALF_TAPS
 
 FS = 44100.0
@@ -53,33 +53,25 @@ def test_probe_validation():
 def test_instantaneous_frequency_of_a_tone():
     n = np.arange(5000)
     y = np.exp(2j * np.pi * 997.0 * n / FS)
-    freq, valid = instantaneous_frequency(y, FS)
-    assert np.all(valid)
-    assert np.max(np.abs(freq.samples - 997.0)) < 1e-8
-    down, _ = instantaneous_frequency(np.conj(y), FS)
-    assert np.max(np.abs(down.samples + 997.0)) < 1e-8
+    freq = _interval_frequency(y, FS)
+    assert np.max(np.abs(freq - 997.0)) < 1e-8
+    down = _interval_frequency(np.conj(y), FS)
+    assert np.max(np.abs(down + 997.0)) < 1e-8
 
 
 def test_instantaneous_frequency_of_a_chirp():
     n = np.arange(5000)
     phase = 2.0 * np.pi * (1000.0 * n + 0.05 * n**2) / FS
-    freq, _ = instantaneous_frequency(np.exp(1j * phase), FS)
+    freq = _interval_frequency(np.exp(1j * phase), FS)
     # interval n holds the average frequency over [n, n+1]
     expected = 1000.0 + 0.05 * (2.0 * n[:-1] + 1.0)
-    assert np.max(np.abs(freq.samples - expected)) < 1e-8
-
-
-def test_instantaneous_frequency_flags_dead_intervals():
-    y = np.exp(2j * np.pi * 0.01 * np.arange(100))
-    y[40:60] *= 1e-12
-    _, valid = instantaneous_frequency(y, FS)
-    assert not valid[45]
-    assert valid[10]
+    assert np.max(np.abs(freq - expected)) < 1e-8
 
 
 def test_tracked_tone_matches_nominal_phase():
     traj = tracked_tone(20.0)
-    assert traj.slope() == pytest.approx(2.0 * np.pi * 20.0, rel=1e-9)
+    slope = np.polyfit(traj.times, traj.phase, 1)[0]
+    assert slope == pytest.approx(2.0 * np.pi * 20.0, rel=1e-9)
     nominal = 2.0 * np.pi * 20.0 * traj.times
     assert np.max(np.abs(traj.phase - nominal)) < 1e-6
 
@@ -87,7 +79,8 @@ def test_tracked_tone_matches_nominal_phase():
 def test_tracked_tone_sees_a_frequency_offset():
     eps = 1e-4
     traj = tracked_tone(20.0, eps=eps)
-    assert traj.slope() == pytest.approx(2.0 * np.pi * 20.0 * (1 + eps), rel=1e-9)
+    slope = np.polyfit(traj.times, traj.phase, 1)[0]
+    assert slope == pytest.approx(2.0 * np.pi * 20.0 * (1 + eps), rel=1e-9)
 
 
 def test_tracking_silence_fails_loudly():

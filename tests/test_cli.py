@@ -11,9 +11,22 @@ import numpy as np
 import pytest
 
 import fvnlab
-from fvnlab import SimTarget, NoiseSpec, design_slope_filter, fvn, selftest
+from fvnlab import (
+    FvnSpec,
+    NoiseSpec,
+    SequencePlan,
+    SimTarget,
+    assemble_sequence,
+    build_code_matrix,
+    center_pulse,
+    design_slope_filter,
+    fvn,
+    selftest,
+    shape_spectrum,
+    synthesize_unit_fvn,
+)
 from fvnlab.cli import main
-from fvnlab.fileio import read_manifest, read_wav, write_filter
+from fvnlab.fileio import read_filter, read_manifest, read_wav, write_filter
 
 
 def run(*argv):
@@ -108,6 +121,23 @@ def test_shaped_generation_and_analysis(tmp_path):
     ir = read_wav(meas / "linear_ir.wav").samples
     assert abs(ir[0] - 1.0) < 1e-4
     assert np.max(np.abs(ir[1:])) < 1e-4
+
+
+def test_generated_channels_are_the_public_recipe(tmp_path):
+    """align and measure rebuild the emission from the manifest, so generate
+    must write exactly what the public functions give for it."""
+    gen, shape = tmp_path / "gen", tmp_path / "shape.json"
+    write_filter(shape, design_slope_filter(-3.0, 44100.0))
+    kw = dict(sigma_t=0.005, period_no=2205, reps=12, codes=2, seed=21)
+    assert generate(gen, shape=shape, **kw) == 0
+    codes, filt = build_code_matrix(2), read_filter(shape)
+    for i in range(2):
+        spec = FvnSpec(sigma_t=0.005, fs=44100.0, seed=21 + i)
+        plan = SequencePlan(spec, i, period_no=2205, repetitions=12)
+        unit = center_pulse(synthesize_unit_fvn(spec))
+        expected = shape_spectrum(assemble_sequence(plan, codes, unit=unit), filt)
+        written = read_wav(gen / f"channel_{i}.wav").samples
+        assert np.array_equal(written, expected.samples.astype(np.float32))
 
 
 def test_align_reports_injected_drift(tmp_path):
@@ -290,6 +320,23 @@ def test_invalid_parameter_is_a_validation_error(tmp_path):
     assert generate(tmp_path / "gen", sigma_t=-0.01) == 1
 
 
+@pytest.mark.parametrize("key", ["sigma_t", "fs"])
+def test_pulse_longer_than_the_emission_is_a_validation_error(tmp_path, capsys, key):
+    """Refused before synthesis, which would otherwise size a buffer of some
+    2^1000 samples and fail inside numpy without naming a key."""
+    capsys.readouterr()
+    assert generate(tmp_path / "cli", **{key: 1e300}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sigma_t" in err and "fs" in err
+
+
+def test_manifest_pulse_longer_than_the_emission_is_a_validation_error(
+    tmp_path, capsys
+):
+    check_manifest_rejected(tmp_path, capsys, "measure", "sigma_t", 1e300)
+
+
 def test_oversized_code_count_is_rejected_before_any_work(tmp_path):
     assert generate(tmp_path / "gen", codes=10**9) == 1
     assert not list((tmp_path / "gen").iterdir())
@@ -306,6 +353,25 @@ def test_env_seed_wins_over_flags(tmp_path, monkeypatch):
     manifest = read_manifest(d / "manifest.json")
     assert manifest["seed"] == 9
     assert manifest["channels"][0]["seed"] == 9
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_env_seed_is_a_validation_error(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    gen = tmp_path / "gen"
+    if command == "simulate":
+        assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    monkeypatch.setenv("FVNLAB_SEED", value)
+    capsys.readouterr()
+    if command == "generate":
+        assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 1
+    else:
+        assert run("simulate", gen, "--out-dir", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "FVNLAB_SEED" in err
 
 
 def test_generation_is_bit_reproducible(tmp_path):

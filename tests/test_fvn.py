@@ -1,17 +1,101 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fvnlab import (
     FvnSpec,
-    OvnSpec,
     SIX_TERM_COEFFS,
     center_pulse,
-    envelope_diagnostics,
     fvn_phase,
-    generate_ovn,
     phase_unit,
     synthesize_unit_fvn,
 )
+
+
+@dataclass(frozen=True)
+class EnvelopeDiagnostics:
+    """Envelope-shape summary of a unit FVN.
+
+    center_rms and flank_rms are RMS values of the peak-normalized smoothed
+    envelope, sampled on a sigma_t / 4 grid around the envelope peak: the
+    central 9 points (offsets -4..4) and the 10 flanking points (offsets
+    5..9 on both sides).  A smooth, concentrated envelope has a large
+    center-to-flank ratio; a ragged one does not.
+    """
+
+    center_rms: float
+    flank_rms: float
+    effective_duration: float
+
+    @property
+    def center_flank_ratio(self) -> float:
+        return self.center_rms / self.flank_rms
+
+    @property
+    def smooth(self) -> bool:
+        # Threshold picked from the ratio sweep: b_w / f_d = 2 designs sit
+        # near 9 across seeds, b_w / f_d = 1 near 3.5, so 5 splits the
+        # recommended regime from the rest with comfortable margin.
+        return self.center_flank_ratio > 5.0
+
+
+def _analytic_envelope(x: np.ndarray) -> np.ndarray:
+    """Envelope magnitude via spectral one-siding (circular Hilbert)."""
+    n = x.size
+    spec = np.fft.fft(x)
+    gains = np.zeros(n)
+    gains[0] = 1.0
+    gains[n // 2] = 1.0
+    gains[1 : n // 2] = 2.0
+    return np.abs(np.fft.ifft(spec * gains))
+
+
+def _circular_moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    n = x.size
+    kernel = np.zeros(n)
+    idx = np.arange(-(width // 2), width - width // 2)
+    kernel[idx % n] = 1.0 / width
+    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
+
+
+def envelope_diagnostics(spec: FvnSpec) -> EnvelopeDiagnostics:
+    """Measure envelope-shape statistics of one synthesized unit FVN.
+
+    The envelope is the analytic magnitude smoothed by a moving average,
+    normalized to unit peak.  The smoothing width and the sampling grid are
+    tied to the duration implied by the frequency spacing (1 / (5 f_d),
+    which equals sigma_t for default designs) rather than to sigma_t
+    itself, so two specs with the same b_w / f_d ratio yield comparable
+    diagnostics at any absolute scale.  effective_duration is the square
+    root of the second moment of the squared envelope around its circular
+    center of gravity, in seconds; for the default design the whole pulse
+    (about +-2.5 standard deviations) then fits inside +-sigma_t.
+    """
+    unit = synthesize_unit_fvn(spec)
+    samples = unit.samples
+    k = samples.size
+    sigma_ref = 1.0 / (5.0 * spec.f_d)
+    width = max(1, int(round(sigma_ref / 8.0 * spec.fs)))
+    env = _circular_moving_average(_analytic_envelope(samples), width)
+    env = env / np.max(env)
+    peak = int(np.argmax(env))
+
+    step = max(1, int(round(sigma_ref / 4.0 * spec.fs)))
+    center_offsets = np.arange(-4, 5)
+    flank_offsets = np.concatenate([np.arange(-9, -4), np.arange(5, 10)])
+    center = env[(peak + center_offsets * step) % k]
+    flank = env[(peak + flank_offsets * step) % k]
+
+    weights = env**2
+    delta = ((np.arange(k) - peak + k // 2) % k) - k // 2
+    mean = np.sum(weights * delta) / np.sum(weights)
+    var = np.sum(weights * (delta - mean) ** 2) / np.sum(weights)
+    return EnvelopeDiagnostics(
+        center_rms=float(np.sqrt(np.mean(center**2))),
+        flank_rms=float(np.sqrt(np.mean(flank**2))),
+        effective_duration=float(np.sqrt(var) / spec.fs),
+    )
 
 
 def test_six_term_coefficients_sum_to_one():
@@ -114,31 +198,6 @@ def test_spec_validation():
         FvnSpec(sigma_t=0.01, dft_size_k=64)  # cannot cover 10 sigma_t
     with pytest.raises(ValueError):
         FvnSpec(sigma_t=0.01, phi_max=4.0)
-
-
-def test_generate_ovn_pulse_count_and_values():
-    spec = OvnSpec(mean_interval_td=8.5, num_pulses=200, seed=5)
-    ovn = generate_ovn(spec)
-    nonzero = np.flatnonzero(ovn.samples)
-    assert nonzero.size == 200
-    assert set(np.unique(ovn.samples[nonzero])) <= {-1.0, 1.0}
-    assert len(ovn) == int(np.ceil(8.5 * 200))
-
-
-def test_generate_ovn_pulses_stay_in_their_segments():
-    td = 12.0
-    ovn = generate_ovn(OvnSpec(mean_interval_td=td, num_pulses=100, seed=6))
-    positions = np.flatnonzero(ovn.samples)
-    segments = np.floor(positions / td).astype(int)
-    # one pulse per segment, in order
-    assert np.array_equal(segments, np.arange(100))
-
-
-def test_ovn_spec_validation():
-    with pytest.raises(ValueError):
-        OvnSpec(mean_interval_td=1.0, num_pulses=10)
-    with pytest.raises(ValueError):
-        OvnSpec(mean_interval_td=4.0, num_pulses=0)
 
 
 def test_default_design_envelope_is_smooth():
