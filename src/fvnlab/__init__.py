@@ -34,7 +34,6 @@ from .measure import (
     synchronized_average,
 )
 from .sequence import (
-    SequencePlan,
     ShapingFilter,
     assemble_sequence,
     coded_channels,
@@ -66,7 +65,6 @@ __all__ = [
     "PowerSpectrum",
     "SIX_TERM_COEFFS",
     "SampledSignal",
-    "SequencePlan",
     "ShapingFilter",
     "SimTarget",
     "SmoothedSpectrum",

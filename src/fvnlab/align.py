@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fvn import SIX_TERM_COEFFS
-from .resample import HALF_TAPS, fftconvolve, resample_at, upsample2
+from .resample import fftconvolve, resample_at, upsample2
 from .signal import SampledSignal
 
 
@@ -24,14 +24,14 @@ class AnalyticProbe:
     """Complex band-pass probe centered on the repetition fundamental.
 
     taps = exp(2j pi f_o t) * sum_k a_k cos(2 pi c_mag k f_o t / 6) over
-    t in [-3 / (c_mag f_o), 3 / (c_mag f_o)]; the envelope reaches zero at
-    both ends, so the support is 6 / (c_mag f_o) seconds.  The envelope's
-    first spectral null falls on the neighboring harmonics when c_mag = 1,
-    which is what keeps the tracker clean on pulse-train signals.
+    t in [-3 / (c_mag f_o), 3 / (c_mag f_o)], with c_mag the bandwidth
+    factor given to build_probe; the envelope reaches zero at both ends, so
+    the support is 6 / (c_mag f_o) seconds.  The envelope's first spectral
+    null falls on the neighboring harmonics when c_mag = 1, which is what
+    keeps the tracker clean on pulse-train signals.
     """
 
     f_o: float
-    c_mag: float
     fs: float
     taps: np.ndarray
 
@@ -114,7 +114,7 @@ def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
     for k, a in enumerate(SIX_TERM_COEFFS):
         envelope += a * np.cos(2.0 * np.pi * c_mag * k * f_o * t / 6.0)
     taps = np.exp(2j * np.pi * f_o * t) * envelope
-    return AnalyticProbe(f_o=f_o, c_mag=c_mag, fs=fs, taps=taps)
+    return AnalyticProbe(f_o=f_o, fs=fs, taps=taps)
 
 
 def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
@@ -122,9 +122,7 @@ def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
     return np.angle(y[1:] * np.conj(y[:-1])) * fs / (2.0 * np.pi)
 
 
-def track_phase(
-    recorded: SampledSignal, probe: AnalyticProbe, floor_rel: float = 1e-6
-) -> PhaseTrajectory:
+def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajectory:
     """Track the unwrapped fundamental phase of a recording.
 
     The recording is convolved with the probe (group delay compensated),
@@ -148,7 +146,7 @@ def track_phase(
     median = np.median(mag)
     if median <= 0.0:
         raise ValueError("fundamental not detected: band energy is zero")
-    valid = mag >= floor_rel * median
+    valid = mag >= 1e-6 * median  # below that the probe has lost the line
     if not np.all(valid):
         # keep the longest contiguous valid run
         edges = np.flatnonzero(np.diff(np.concatenate([[0], valid, [0]])))
@@ -195,9 +193,7 @@ def build_warp_map(
     return WarpMap(measured.times[inside], t_da)
 
 
-def apply_warp(
-    signal: SampledSignal, warp: WarpMap, half_taps: int = HALF_TAPS
-) -> SampledSignal:
+def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
     """Resample a capture-clock recording onto the playback clock.
 
     Output sample m holds the input evaluated at the capture time that maps
@@ -220,7 +216,5 @@ def apply_warp(
             f"[0, {t_out[-1]:.6f}] s); use WarpMap.extended"
         )
     t_ad = np.interp(t_out, warp.t_da, warp.t_ad)
-    resampled = resample_at(
-        upsample2(signal.samples), 2.0 * t_ad * signal.fs, half_taps
-    )
+    resampled = resample_at(upsample2(signal.samples), 2.0 * t_ad * signal.fs)
     return SampledSignal(resampled, signal.fs)

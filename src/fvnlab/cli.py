@@ -50,9 +50,20 @@ _MANIFEST_KEYS = {
     "period_no": _INTEGER,
     "repetitions": _INTEGER,
     "seed": _INTEGER,
-    "channels": "a list of objects",
+    "channels": "a non-empty list of objects",
 }
 _CHANNEL_KEYS = {"file": "a string", "seed": _INTEGER, "code_row": _INTEGER}
+_TARGET_KEYS = {
+    "paths": "a list of number lists", "nonlinearity": "a list of numbers",
+    "noise": "null or an object", "drift": "null or an object",
+}
+_NOISE_KEYS = {"kind": "a string", "level_db": _NUMBER}
+_DRIFT_KEYS = {
+    "kind": "a string", "ppm": _NUMBER, "depth_s": _NUMBER, "rate_hz": _NUMBER,
+}
+# keys a simulate target may leave out, with stand-ins that pass their check
+_TARGET_OPTIONAL = {"nonlinearity": [], "noise": None, "drift": None}
+_DRIFT_OPTIONAL = {"ppm": 0.0, "depth_s": 0.0, "rate_hz": 0.0}
 # bool is an int subclass; NaN, infinities and ints beyond float range fail
 # the bound on abs(v).
 _IS_KIND = {
@@ -62,8 +73,14 @@ _IS_KIND = {
     _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "null or a string path": lambda v: v is None or isinstance(v, str),
-    "a list of objects": lambda v: isinstance(v, list)
+    "a non-empty list of objects": lambda v: isinstance(v, list)
+    and len(v) > 0
     and all(isinstance(c, dict) for c in v),
+    "null or an object": lambda v: v is None or isinstance(v, dict),
+    "a list of numbers": lambda v: isinstance(v, list)
+    and all(_IS_KIND[_NUMBER](c) for c in v),
+    "a list of number lists": lambda v: isinstance(v, list)
+    and all(_IS_KIND["a list of numbers"](p) for p in v),
 }
 
 
@@ -115,11 +132,29 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
     for i, channel in enumerate(manifest["channels"]):
         _check_keys(path, channel, _CHANNEL_KEYS, f"channels[{i}].")
     shape = manifest.get("shape")
-    if shape is not None and not (
-        isinstance(shape, list) and all(_IS_KIND[_NUMBER](c) for c in shape)
-    ):
+    if shape is not None and not _IS_KIND["a list of numbers"](shape):
         raise ValueError(f"{path}: shape must be null or a list of numbers")
     return path, manifest
+
+
+def _read_target(arg: str) -> SimTarget:
+    """A simulate target file, checked key by key before SimTarget reads it."""
+    path = Path(arg)
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for prefix, part, kinds, defaults in (
+        ("", doc, _TARGET_KEYS, _TARGET_OPTIONAL),
+        ("noise.", doc.get("noise"), _NOISE_KEYS, {}),
+        ("drift.", doc.get("drift"), _DRIFT_KEYS, _DRIFT_OPTIONAL),
+    ):
+        if prefix and not part:  # absent, null or {}: from_json adds none
+            continue
+        unknown = sorted(set(part) - set(kinds))
+        if unknown:
+            raise ValueError(f"{path}: unknown key {prefix}{', '.join(unknown)}")
+        _check_keys(path, {**defaults, **part}, kinds, prefix)
+    return SimTarget.from_json(path)
 
 
 def _check_keys(path: Path, doc: dict, kinds: dict, prefix: str) -> None:
@@ -192,7 +227,7 @@ def cmd_generate(args) -> int:
         fileio.write_wav(out / channel["file"], signal)
     if len(signals) > 1:
         fileio.write_wav(out / "multiplexed.wav", multiplex(signals))
-    fileio.write_manifest(out / "manifest.json", manifest)
+    fileio.write_json(out / "manifest.json", manifest)
     extra = " + multiplexed.wav" if len(signals) > 1 else ""
     print(f"wrote {len(signals)} channel(s){extra} and manifest.json to {out}")
     return 0
@@ -202,7 +237,7 @@ def cmd_simulate(args) -> int:
     path, manifest = _read_manifest(args.manifest)
     inputs = [fileio.read_wav(path.parent / ch["file"]) for ch in manifest["channels"]]
     if args.config:
-        target = SimTarget.from_json(args.config)
+        target = _read_target(args.config)
     else:
         target = SimTarget(paths=[np.array([1.0])] * len(inputs))
     if args.drift_ppm is not None:
@@ -228,7 +263,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "drift_ppm": args.drift_ppm,
     }
-    fileio.write_manifest(out / "manifest.json", manifest)
+    fileio.write_json(out / "manifest.json", manifest)
     print(f"wrote recording.wav ({recorded.duration:.2f} s) to {out}")
     return 0
 
@@ -267,10 +302,8 @@ def cmd_measure(args) -> int:
         for row, dev in zip(rows, result.deviations):
             fileio.write_wav(out / f"deviation_{row}.wav", dev)
         report["deviation_rms"] = [float(r) for r in result.deviation_rms]
-        report["pooled_deviation_rms"] = float(
-            np.sqrt(np.mean(np.stack([d.samples for d in result.deviations]) ** 2))
-        )
-    fileio.write_report(out / "report.json", report)
+        report["pooled_deviation_rms"] = result.pooled_deviation_rms
+    fileio.write_json(out / "report.json", report)
     print(
         f"wrote linear_ir.wav + {len(rows)} per-code IR(s) to {out} "
         f"({result.periods_averaged} periods averaged)"
@@ -298,8 +331,7 @@ def cmd_align(args) -> int:
     recorded = fileio.read_wav(args.recording)
     _check_fs(recorded, manifest)
     *_, emitted = _channels_from_manifest(manifest)
-    signals = list(emitted)
-    reference = multiplex(signals) if len(signals) > 1 else signals[0]
+    reference = multiplex(list(emitted))
     fs = recorded.fs
     period = int(manifest["period_no"])
     # Alternating code rows carry their energy at half-fundamental offsets,
@@ -309,7 +341,7 @@ def cmd_align(args) -> int:
     # only picked when at least half the record survives them (roughly two
     # dozen periods).
     c_mag = 1.0
-    if len(signals) > 1:
+    if len(manifest["channels"]) > 1:
         narrow = build_probe(fs / period, 0.5, fs)
         if min(len(recorded), len(reference)) >= 4 * narrow.half:
             c_mag = 0.5
@@ -334,7 +366,7 @@ def cmd_align(args) -> int:
         "intercept_s": intercept,
         "drift_ppm": (slope - 1.0) * 1e6,
     }
-    fileio.write_report(out / "report.json", report)
+    fileio.write_json(out / "report.json", report)
     print(
         f"wrote aligned.wav and warp.csv to {out} "
         f"(drift {report['drift_ppm']:+.2f} ppm)"

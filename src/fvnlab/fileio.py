@@ -31,8 +31,9 @@ def read_wav(path: str | Path) -> SampledSignal:
     return SampledSignal(np.asarray(data, dtype=np.float64), float(rate))
 
 
-def write_manifest(path: str | Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+def write_json(path: str | Path, doc: dict) -> None:
+    """A manifest or report as indented JSON."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -69,7 +70,3 @@ def write_warp_csv(
         writer.writerow(["t_ad_s", "t_da_s"])
         for a, d in zip(t_ad[::decimate], t_da[::decimate]):
             writer.writerow([f"{a:.9f}", f"{d:.9f}"])
-
-
-def write_report(path: str | Path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")

@@ -71,7 +71,13 @@ class FvnSpec:
         if self.b_w is None:
             object.__setattr__(self, "b_w", 2.0 * self.f_d)
         if self.dft_size_k is None:
-            k = 1 << int(np.ceil(np.log2(10.0 * self.sigma_t * self.fs)))
+            span = 10.0 * self.sigma_t * self.fs
+            if not 1.0 < span < np.inf:  # an even power of two must cover it
+                raise ValueError(
+                    f"sigma_t {self.sigma_t} s at fs {self.fs} Hz spans {span} "
+                    "samples (10 sigma_t fs); need a finite span above 1 sample"
+                )
+            k = 1 << int(np.ceil(np.log2(span)))
             object.__setattr__(self, "dft_size_k", k)
         if not self.f_d > 0:
             raise ValueError(f"f_d must be positive, got {self.f_d}")
@@ -105,10 +111,6 @@ class PhaseSpectrum:
         if np.max(np.abs(phase[1:] + phase[1:][::-1])) > tol:
             raise ValueError("phase must be odd-symmetric about DC")
         object.__setattr__(self, "phase", phase)
-
-    @property
-    def dft_size(self) -> int:
-        return self.phase.size
 
 
 def phase_unit(offset, half_width: float):

@@ -18,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codes import CodeMatrix
 from .resample import fftconvolve
 from .signal import SampledSignal
-from .spectrum import PowerSpectrum, power_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,19 +25,18 @@ class MeasurementResult:
     """Per-code impulse responses plus derived linear/nonlinear splits.
 
     linear_ir is the samplewise mean of per_code_irs.  deviations (per-code
-    IR minus the mean) and their statistics are filled by
-    separate_nonlinear.  periods_averaged counts the periods that went into
-    each per-code average.
+    IR minus the mean), their per-code RMS and their RMS pooled over all
+    codes are filled by separate_nonlinear.  periods_averaged counts the
+    periods that went into each per-code average.
     """
 
     per_code_irs: list[SampledSignal]
     linear_ir: SampledSignal
     period_no: int
     periods_averaged: int
-    code_row_indices: list[int]
     deviations: list[SampledSignal] | None = None
     deviation_rms: np.ndarray | None = None
-    pooled_deviation_power: PowerSpectrum | None = None
+    pooled_deviation_rms: float | None = None
 
 
 def pulse_compress(recorded: SampledSignal, unit: SampledSignal) -> SampledSignal:
@@ -169,7 +167,6 @@ def demultiplex(
         linear_ir=linear,
         period_no=period_no,
         periods_averaged=count,
-        code_row_indices=list(code_row_indices),
     )
 
 
@@ -179,8 +176,7 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
     The mean estimates the linear component; deviations collect what the
     time-frequency structure of each FVN spreads differently, i.e. the
     nonlinear (and noise) residue.  Requires at least two per-code IRs.
-    Also reports per-code deviation RMS and the pooled deviation power
-    spectrum (mean periodogram of the deviations).
+    Also reports the deviation RMS per code and pooled over all codes.
     """
     irs = result.per_code_irs
     if len(irs) < 2:
@@ -188,19 +184,15 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
     stack = np.stack([ir.samples for ir in irs])
     mean = stack.mean(axis=0)
     fs = irs[0].fs
-    deviations = [SampledSignal(row - mean, fs) for row in stack]
-    dev_rms = np.sqrt(np.mean((stack - mean) ** 2, axis=1))
-    spectra = [power_spectrum(dev) for dev in deviations]
-    pooled = np.mean([spectrum.power for spectrum in spectra], axis=0)
+    squared = (stack - mean) ** 2
     return MeasurementResult(
         per_code_irs=irs,
         linear_ir=SampledSignal(mean, fs),
         period_no=result.period_no,
         periods_averaged=result.periods_averaged,
-        code_row_indices=result.code_row_indices,
-        deviations=deviations,
-        deviation_rms=dev_rms,
-        pooled_deviation_power=PowerSpectrum(spectra[0].freqs, pooled),
+        deviations=[SampledSignal(row - mean, fs) for row in stack],
+        deviation_rms=np.sqrt(np.mean(squared, axis=1)),
+        pooled_deviation_rms=float(np.sqrt(np.mean(squared))),
     )
 
 

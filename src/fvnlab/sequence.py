@@ -19,24 +19,6 @@ from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
 from .signal import SampledSignal
 
 
-@dataclass(frozen=True)
-class SequencePlan:
-    """One channel of a measurement: which FVN, which code row, how often."""
-
-    fvn_spec: FvnSpec
-    code_row_index: int
-    period_no: int
-    repetitions: int
-
-    def __post_init__(self):
-        if self.period_no < 1:
-            raise ValueError(f"period_no must be >= 1, got {self.period_no}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.code_row_index < 0:
-            raise ValueError("code_row_index must be >= 0")
-
-
 def _is_minimum_phase(a: np.ndarray) -> bool:
     """Schur-Cohn test: every step-down reflection coefficient inside (-1, 1).
 
@@ -89,44 +71,46 @@ class ShapingFilter:
             raise ValueError("unstable filter: poles must lie inside the unit circle")
         object.__setattr__(self, "a", a)
 
-    @property
-    def order(self) -> int:
-        return self.a.size
-
     def magnitude_db(self, freqs: np.ndarray, fs: float) -> np.ndarray:
         """Magnitude of 1 / A at the given frequencies, in dB."""
         return _all_pole_db(self.a, freqs, fs)
 
 
 def assemble_sequence(
-    plan: SequencePlan, codes: CodeMatrix, unit: SampledSignal | None = None
+    unit: SampledSignal,
+    codes: CodeMatrix,
+    code_row_index: int,
+    period_no: int,
+    repetitions: int,
 ) -> SampledSignal:
-    """Place code-modulated copies of the unit FVN every period_no samples.
+    """Place code-modulated copies of `unit` every period_no samples.
 
     Repetition r (0-based) starts at sample r * period_no with polarity
-    row[r mod n].  The buffer is repetitions * period_no samples plus
-    whatever tail of the final copy sticks out.  repetitions must cover one
-    full code period plus two guard periods at each end, i.e. n + 4, so the
-    receiver can discard edge transients and still average a code-aligned
-    block.  When no `unit` is given, the FVN synthesized from the plan is
-    unwrapped with center_pulse first, so the emitted pulse is a compact
-    finite signal; an explicit `unit` (a test impulse, or a pulse prepared
-    by the caller) is placed exactly as given.
+    row[r mod n] of code row code_row_index.  The buffer is repetitions *
+    period_no samples plus whatever tail of the final copy sticks out.
+    repetitions must cover one full code period plus two guard periods at
+    each end, i.e. n + 4, so the receiver can discard edge transients and
+    still average a code-aligned block.  `unit` is placed exactly as given:
+    the emission form of an FVN is center_pulse of the synthesized buffer.
     """
-    row = codes.row(plan.code_row_index)
+    if period_no < 1:
+        raise ValueError(f"period_no must be >= 1, got {period_no}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if code_row_index < 0:
+        raise ValueError("code_row_index must be >= 0")
+    row = codes.row(code_row_index)
     n = codes.length
-    if plan.repetitions < n + 4:
+    if repetitions < n + 4:
         raise ValueError(
             f"repetitions must be >= code length + 4 guards ({n + 4}), "
-            f"got {plan.repetitions}"
+            f"got {repetitions}"
         )
-    if unit is None:
-        unit = center_pulse(synthesize_unit_fvn(plan.fvn_spec))
     pulse = unit.samples
-    p = plan.period_no
-    length = plan.repetitions * p + max(0, pulse.size - p)
+    p = period_no
+    length = repetitions * p + max(0, pulse.size - p)
     out = np.zeros(length)
-    for r in range(plan.repetitions):
+    for r in range(repetitions):
         out[r * p : r * p + pulse.size] += row[r % n] * pulse
     return SampledSignal(out, unit.fs)
 
@@ -201,10 +185,8 @@ def coded_channels(
         )
     units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
     emitted = (
-        assemble_sequence(
-            SequencePlan(spec, row, period_no, repetitions), codes, unit=unit
-        )
-        for spec, row, unit in zip(specs, code_rows, units)
+        assemble_sequence(unit, codes, row, period_no, repetitions)
+        for row, unit in zip(code_rows, units)
     )
     if filt is not None:
         emitted = (shape_spectrum(signal, filt) for signal in emitted)
@@ -225,7 +207,6 @@ def design_slope_filter(
     order: int = 32,
     f_lo: float = 50.0,
     f_hi: float = 10000.0,
-    n_grid: int = 384,
 ) -> ShapingFilter:
     """Fit an all-pole filter to a constant dB/octave magnitude slope.
 
@@ -261,6 +242,7 @@ def design_slope_filter(
         raise ValueError("order must be >= 1")
     if not 0 < f_lo < f_hi < fs / 2:
         raise ValueError("need 0 < f_lo < f_hi < fs / 2")
+    n_grid = 384  # in-band fit points; each shelf gets an eighth as many
     n_shelf = n_grid // 8
     freqs = np.concatenate(
         [

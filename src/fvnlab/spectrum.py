@@ -44,11 +44,10 @@ class SmoothedSpectrum:
 
     freqs: np.ndarray
     level_db: np.ndarray
-    db_reference: float = 1.0
 
     def linear(self) -> np.ndarray:
         """Smoothed power on a linear scale (inverse of the dB mapping)."""
-        return self.db_reference * 10.0 ** (self.level_db / 10.0)
+        return 10.0 ** (self.level_db / 10.0)
 
 
 def power_spectrum(
@@ -79,18 +78,14 @@ def _integral_to(freqs: np.ndarray, power: np.ndarray, x: np.ndarray) -> np.ndar
     return cumulative[i] + (x - freqs[i]) * (power[i] + px) / 2.0
 
 
-def third_octave_smooth(
-    spectrum: PowerSpectrum, db_reference: float = 1.0
-) -> SmoothedSpectrum:
+def third_octave_smooth(spectrum: PowerSpectrum) -> SmoothedSpectrum:
     """One-third-octave smoothing of a power spectrum.
 
     Output bins keep the input grid but only where the full window
     [f * 2**(-1/6), f * 2**(1/6)] lies inside the analyzable band (at or
     above the first nonzero-frequency bin, at or below the top bin).  Levels
-    are 10 log10(Q / db_reference); zero power maps to -inf.
+    are 10 log10(Q); zero power maps to -inf.
     """
-    if not db_reference > 0:
-        raise ValueError("db_reference must be positive")
     freqs = spectrum.freqs
     f_low = freqs[1] if freqs[0] == 0.0 else freqs[0]
     lo = freqs * THIRD_OCTAVE_DOWN
@@ -104,5 +99,5 @@ def third_octave_smooth(
     ) / (hi - lo)
     mean_power = np.maximum(mean_power, 0.0)  # guard rounding at true zeros
     with np.errstate(divide="ignore"):
-        level = 10.0 * np.log10(mean_power / db_reference)
-    return SmoothedSpectrum(freqs[defined], level, db_reference)
+        level = 10.0 * np.log10(mean_power)
+    return SmoothedSpectrum(freqs[defined], level)

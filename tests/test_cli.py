@@ -14,7 +14,7 @@ import fvnlab
 from fvnlab import (
     FvnSpec,
     NoiseSpec,
-    SequencePlan,
+    ShapingFilter,
     SimTarget,
     assemble_sequence,
     build_code_matrix,
@@ -22,6 +22,7 @@ from fvnlab import (
     design_slope_filter,
     fvn,
     selftest,
+    sequence,
     shape_spectrum,
     synthesize_unit_fvn,
 )
@@ -123,6 +124,23 @@ def test_shaped_generation_and_analysis(tmp_path):
     assert np.max(np.abs(ir[1:])) < 1e-4
 
 
+def test_measure_on_a_shaped_set_assembles_and_shapes_nothing(tmp_path, monkeypatch):
+    """measure compresses with the unit pulses alone; rebuilding the emitted
+    signals would cost an assembly and a filter pass per code."""
+    shape, gen, sim = tmp_path / "shape.json", tmp_path / "gen", tmp_path / "sim"
+    write_filter(shape, ShapingFilter(np.array([-0.5])))
+    kw = dict(sigma_t=0.005, period_no=4410, reps=12, codes=2, shape=shape)
+    assert generate(gen, **kw) == 0
+    assert run("simulate", gen, "--out-dir", sim) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure rebuilt the emitted signals")
+
+    monkeypatch.setattr(sequence, "assemble_sequence", refuse)
+    monkeypatch.setattr(sequence, "shape_spectrum", refuse)
+    assert run("measure", sim / "recording.wav", gen, "--out-dir", tmp_path / "m") == 0
+
+
 def test_generated_channels_are_the_public_recipe(tmp_path):
     """align and measure rebuild the emission from the manifest, so generate
     must write exactly what the public functions give for it."""
@@ -133,9 +151,8 @@ def test_generated_channels_are_the_public_recipe(tmp_path):
     codes, filt = build_code_matrix(2), read_filter(shape)
     for i in range(2):
         spec = FvnSpec(sigma_t=0.005, fs=44100.0, seed=21 + i)
-        plan = SequencePlan(spec, i, period_no=2205, repetitions=12)
         unit = center_pulse(synthesize_unit_fvn(spec))
-        expected = shape_spectrum(assemble_sequence(plan, codes, unit=unit), filt)
+        expected = shape_spectrum(assemble_sequence(unit, codes, i, 2205, 12), filt)
         written = read_wav(gen / f"channel_{i}.wav").samples
         assert np.array_equal(written, expected.samples.astype(np.float32))
 
@@ -236,6 +253,9 @@ def test_manifest_missing_a_key_is_a_validation_error(tmp_path, capsys, command,
         ("simulate", "repetitions", 12.0),
         ("measure", "channels[0].seed", None),
         ("measure", "shape", {"a": [0.5]}),
+        ("simulate", "channels", []),
+        ("align", "channels", []),
+        ("measure", "channels", []),
     ],
 )
 def test_manifest_value_of_the_wrong_type_is_a_validation_error(
@@ -275,6 +295,33 @@ def test_config_value_of_the_wrong_type_is_a_validation_error(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({}, "paths"),
+        ([[1.0]], "JSON object"),
+        ({"noise": {"kind": "white"}}, "noise.level_db"),
+        ({"noise": {"kind": "white", "level_db": None}}, "noise.level_db"),
+        ({"drift": {"kind": "linear", "pmm": 5.0}}, "drift.pmm"),
+        ({"drift": {"kind": "sinusoidal", "depth_s": "1e-4"}}, "drift.depth_s"),
+    ],
+)
+def test_target_value_of_the_wrong_type_is_a_validation_error(
+    tmp_path, capsys, doc, names
+):
+    gen, target = tmp_path / "gen", tmp_path / "target.json"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    if doc and isinstance(doc, dict):  # {} stays without paths
+        doc = {"paths": [[1.0]], **doc}
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("simulate", gen, "--config", target, "--out-dir", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err and names in err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
@@ -326,6 +373,17 @@ def test_pulse_longer_than_the_emission_is_a_validation_error(tmp_path, capsys, 
     2^1000 samples and fail inside numpy without naming a key."""
     capsys.readouterr()
     assert generate(tmp_path / "cli", **{key: 1e300}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sigma_t" in err and "fs" in err
+
+
+@pytest.mark.parametrize("sigma_t", [1e306, float("inf"), 1e-300])
+def test_unsizable_pulse_buffer_is_a_validation_error(tmp_path, capsys, sigma_t):
+    """10 sigma_t fs must be finite and above one sample, or the buffer size
+    overflows or comes out odd before the emission check can run."""
+    capsys.readouterr()
+    assert generate(tmp_path / "gen", sigma_t=sigma_t) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "sigma_t" in err and "fs" in err

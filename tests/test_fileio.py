@@ -9,8 +9,7 @@ from fvnlab.fileio import (
     read_manifest,
     read_wav,
     write_filter,
-    write_manifest,
-    write_report,
+    write_json,
     write_spectrum_csv,
     write_warp_csv,
     write_wav,
@@ -57,7 +56,7 @@ def test_integer_wav_is_normalized(tmp_path):
 def test_manifest_roundtrip(tmp_path):
     doc = {"fs": 44100.0, "channels": [{"seed": 3}], "shape": None}
     f = tmp_path / "manifest.json"
-    write_manifest(f, doc)
+    write_json(f, doc)
     assert read_manifest(f) == doc
 
 
@@ -97,5 +96,5 @@ def test_warp_csv_decimation(tmp_path):
 
 def test_report_is_valid_json(tmp_path):
     f = tmp_path / "report.json"
-    write_report(f, {"drift_ppm": 99.9, "slope": 1.0000999})
+    write_json(f, {"drift_ppm": 99.9, "slope": 1.0000999})
     assert read_manifest(f)["drift_ppm"] == 99.9

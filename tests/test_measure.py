@@ -6,7 +6,6 @@ import pytest
 from fvnlab import (
     FvnSpec,
     SampledSignal,
-    SequencePlan,
     assemble_sequence,
     build_code_matrix,
     center_pulse,
@@ -97,8 +96,8 @@ def two_channel_recording(h_list, period_no=4410, repetitions=12):
     units = [make_pulse(60 + i) for i in range(2)]
     recorded = None
     for i, h in enumerate(h_list):
-        plan = SequencePlan(FvnSpec(sigma_t=0.005, seed=60 + i), i, period_no, repetitions)
-        contribution = through_fir(assemble_sequence(plan, codes, unit=units[i]), h)
+        emission = assemble_sequence(units[i], codes, i, period_no, repetitions)
+        contribution = through_fir(emission, h)
         recorded = contribution if recorded is None else multiplex([recorded, contribution])
     return recorded, units, codes
 
@@ -121,8 +120,7 @@ def test_wrong_code_row_rejects_the_other_channel():
     h[0] = 1.0
     codes = build_code_matrix(2)
     unit = make_pulse(60)
-    plan = SequencePlan(FvnSpec(sigma_t=0.005, seed=60), 0, 4410, 12)
-    recorded = through_fir(assemble_sequence(plan, codes, unit=unit), h)
+    recorded = through_fir(assemble_sequence(unit, codes, 0, 4410, 12), h)
     leak = demultiplex(
         recorded, [unit], codes, 4410, code_row_indices=[1], total_periods=12
     )
@@ -151,7 +149,9 @@ def test_separation_of_an_lti_system_leaves_no_deviation():
     assert np.all(result.deviation_rms < 1e-9)
     total = np.sum([d.samples for d in result.deviations], axis=0)
     assert np.max(np.abs(total)) < 1e-12
-    assert np.all(result.pooled_deviation_power.power >= 0.0)
+    assert result.pooled_deviation_rms >= 0.0
+    stacked = np.stack([d.samples for d in result.deviations])
+    assert result.pooled_deviation_rms == np.sqrt(np.mean(stacked**2))
     agree = np.max(np.abs(result.per_code_irs[0].samples - result.per_code_irs[1].samples))
     assert agree < 1e-9
 
@@ -159,8 +159,7 @@ def test_separation_of_an_lti_system_leaves_no_deviation():
 def test_separation_needs_two_channels():
     pulse = make_pulse(3)
     codes = build_code_matrix(1)
-    plan = SequencePlan(FvnSpec(sigma_t=0.005, seed=3), 0, 4410, 8)
-    recorded = assemble_sequence(plan, codes, unit=pulse)
+    recorded = assemble_sequence(pulse, codes, 0, 4410, 8)
     result = demultiplex(recorded, [pulse], codes, 4410, total_periods=8)
     with pytest.raises(ValueError):
         separate_nonlinear(result)
@@ -247,7 +246,7 @@ def test_end_to_end_single_channel():
     pulse = center_pulse(synthesize_unit_fvn(spec))
     codes = build_code_matrix(1)
     recorded = through_fir(
-        assemble_sequence(SequencePlan(spec, 0, 4410, 12), codes, unit=pulse),
+        assemble_sequence(pulse, codes, 0, 4410, 12),
         np.array([0.9, 0.0, 0.0, 0.2]),
     )
     result = demultiplex(recorded, [pulse], codes, 4410, total_periods=12)
@@ -261,7 +260,7 @@ def test_total_periods_guards_against_tail_dilution():
     spec = FvnSpec(sigma_t=0.005, seed=6)
     pulse = center_pulse(synthesize_unit_fvn(spec))  # 4096 samples
     codes = build_code_matrix(1)
-    recorded = assemble_sequence(SequencePlan(spec, 0, 512, 12), codes, unit=pulse)
+    recorded = assemble_sequence(pulse, codes, 0, 512, 12)
     capped = demultiplex(recorded, [pulse], codes, 512, total_periods=12)
     assert np.max(np.abs(capped.linear_ir.samples)) == pytest.approx(1.0, abs=1e-6)
     diluted = demultiplex(recorded, [pulse], codes, 512)

@@ -5,7 +5,6 @@ import scipy.signal
 from fvnlab import (
     FvnSpec,
     SampledSignal,
-    SequencePlan,
     ShapingFilter,
     assemble_sequence,
     build_code_matrix,
@@ -32,11 +31,8 @@ def slope_filter(db_per_octave):
 
 def test_assembly_places_code_signed_copies():
     codes = build_code_matrix(2)
-    plan = SequencePlan(
-        FvnSpec(sigma_t=0.005), code_row_index=1, period_no=100, repetitions=12
-    )
     probe = SampledSignal(np.array([1.0]), FS)
-    seq = assemble_sequence(plan, codes, unit=probe)
+    seq = assemble_sequence(probe, codes, 1, period_no=100, repetitions=12)
     assert len(seq) == 12 * 100
     row = codes.row(1)
     for r in range(12):
@@ -49,37 +45,29 @@ def test_assembly_places_code_signed_copies():
 def test_assembly_energy_with_disjoint_periods():
     spec = FvnSpec(sigma_t=0.01, seed=2)
     unit = center_pulse(synthesize_unit_fvn(spec))
-    plan = SequencePlan(spec, 0, period_no=len(unit), repetitions=16)
-    seq = assemble_sequence(plan, build_code_matrix(1), unit=unit)
+    seq = assemble_sequence(
+        unit, build_code_matrix(1), 0, period_no=len(unit), repetitions=16
+    )
     # non-overlapping copies: energies add with no cross terms at all
     energy = float(np.sum(seq.samples**2))
     assert energy == pytest.approx(16.0 * np.sum(unit.samples**2), rel=1e-12)
     assert seq.rms() == pytest.approx(np.sqrt(16.0 / len(seq)), rel=1e-9)
 
 
-def test_default_unit_is_the_centered_pulse():
-    spec = FvnSpec(sigma_t=0.005, seed=1)
-    codes = build_code_matrix(1)
-    plan = SequencePlan(spec, 0, period_no=6000, repetitions=8)
-    auto = assemble_sequence(plan, codes)
-    manual = assemble_sequence(
-        plan, codes, unit=center_pulse(synthesize_unit_fvn(spec))
-    )
-    assert np.array_equal(auto.samples, manual.samples)
-
-
 def test_too_few_repetitions_rejected():
     codes = build_code_matrix(2)  # code length 8, so 12 is the minimum
-    plan = SequencePlan(FvnSpec(sigma_t=0.005), 0, period_no=1000, repetitions=11)
+    unit = center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t=0.005)))
     with pytest.raises(ValueError):
-        assemble_sequence(plan, codes)
+        assemble_sequence(unit, codes, 0, period_no=1000, repetitions=11)
 
 
 def test_plan_validation():
+    codes = build_code_matrix(1)
+    unit = SampledSignal(np.array([1.0]), FS)
     with pytest.raises(ValueError):
-        SequencePlan(FvnSpec(sigma_t=0.01), 0, period_no=0, repetitions=8)
+        assemble_sequence(unit, codes, 0, period_no=0, repetitions=8)
     with pytest.raises(ValueError):
-        SequencePlan(FvnSpec(sigma_t=0.01), -1, period_no=100, repetitions=8)
+        assemble_sequence(unit, codes, -1, period_no=100, repetitions=8)
 
 
 def test_multiplex_sums_and_pads():
@@ -102,7 +90,8 @@ def test_multiplexed_power_is_near_the_sum_of_powers():
     codes = build_code_matrix(2)
     seqs = [
         assemble_sequence(
-            SequencePlan(FvnSpec(sigma_t=0.005, seed=40 + i), i, 2205, 12), codes
+            center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t=0.005, seed=40 + i))),
+            codes, i, 2205, 12,
         )
         for i in range(2)
     ]
@@ -165,7 +154,7 @@ def test_shaping_filter_validation():
         ShapingFilter(np.array([-2.5]))  # pole at 2.5
     with pytest.raises(ValueError):
         ShapingFilter(np.array([np.nan]))
-    assert ShapingFilter(np.array([1.8, 0.81])).order == 2  # poles at -0.9
+    assert ShapingFilter(np.array([1.8, 0.81])).a.size == 2  # poles at -0.9
 
 
 def test_design_validation():

@@ -53,14 +53,6 @@ def test_smoothing_band_edges():
     assert np.all(below * THIRD_OCTAVE_DOWN < f_low)
 
 
-def test_db_reference_shifts_levels():
-    spec = PowerSpectrum(GRID, np.full(GRID.size, 4.0))
-    a = third_octave_smooth(spec)
-    b = third_octave_smooth(spec, db_reference=4.0)
-    np.testing.assert_allclose(a.level_db - b.level_db, 10.0 * np.log10(4.0))
-    np.testing.assert_allclose(b.linear(), 4.0, rtol=1e-12)
-
-
 def test_truncation_separates_direct_sound_from_echo():
     """A 10 ms echo makes a comb; cutting the analysis window before the
     echo arrives removes the ripple entirely."""
@@ -92,7 +84,3 @@ def test_power_spectrum_validation():
         PowerSpectrum(np.array([0.0, 1.0, 1.0]), np.ones(3))
     with pytest.raises(ValueError):
         PowerSpectrum(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        third_octave_smooth(
-            PowerSpectrum(np.array([0.0, 1.0, 2.0]), np.ones(3)), db_reference=0.0
-        )
