@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fvn import SIX_TERM_COEFFS
-from .resample import fftconvolve, resample_at, upsample2
+from .resample import fftconvolve, resample_oversampled
 from .signal import SampledSignal
 
 
@@ -200,11 +200,6 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
     to playback time m / fs, so the result is what an ideal converter on the
     playback clock would have recorded.  The warp must cover the whole
     signal span; extend it first if the tracker trimmed the edges.
-
-    The recording is upsampled 2x (Fourier zero-padding) before the
-    windowed-sinc evaluation, which keeps measurement signals with energy
-    at the Nyquist frequency inside the kernel's flat band; without this
-    the kernel's rolloff shaves about a percent off compressed peaks.
     """
     n = len(signal)
     t_out = np.arange(n) / signal.fs
@@ -215,6 +210,5 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
             f"([{warp.t_da[0]:.6f}, {warp.t_da[-1]:.6f}] s versus "
             f"[0, {t_out[-1]:.6f}] s); use WarpMap.extended"
         )
-    t_ad = np.interp(t_out, warp.t_da, warp.t_ad)
-    resampled = resample_at(upsample2(signal.samples), 2.0 * t_ad * signal.fs)
-    return SampledSignal(resampled, signal.fs)
+    positions = np.interp(t_out, warp.t_da, warp.t_ad) * signal.fs
+    return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)

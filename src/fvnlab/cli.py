@@ -11,7 +11,6 @@ configured seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterator
@@ -29,28 +28,24 @@ from .signal import SampledSignal
 from .sim import DriftSpec, SimTarget, simulate
 from .spectrum import power_spectrum, third_octave_smooth
 
-GENERATE_DEFAULTS = {
-    "fs": 44100.0,
-    "sigma_t": 0.010,
-    "codes": 1,
-    "period_no": 22050,
-    "reps": 16,
-    "seed": 0,
-    "shape": None,
+_NUMBER, _INTEGER, _RATE = "a finite number", "an integer", "a whole number of Hz"
+# generate setting -> (default, kind of a --config value)
+_SETTINGS = {
+    "fs": (44100.0, _RATE),
+    "sigma_t": (0.010, _NUMBER),
+    "codes": (1, _INTEGER),
+    "period_no": (22050, _INTEGER),
+    "reps": (16, _INTEGER),
+    "seed": (0, _INTEGER),
+    "shape": (None, "null or a string path"),
 }
-_NUMBER, _INTEGER = "a finite number", "an integer"
-_CONFIG_KEYS = {
-    "fs": _NUMBER, "sigma_t": _NUMBER, "codes": _INTEGER, "period_no": _INTEGER,
-    "reps": _INTEGER, "seed": _INTEGER, "shape": "null or a string path",
-}
+# flag values main checks before any command runs; FvnSpec and the plan checks
+# bound sigma_t and the counts before synthesis, naming their keys.
+_FLAG_KINDS = {"fs": _RATE, "drift_ppm": _NUMBER, "truncate_ms": _NUMBER}
 _MANIFEST_KEYS = {
-    "fs": _NUMBER,
-    "sigma_t": _NUMBER,
-    "codes": _INTEGER,
-    "period_no": _INTEGER,
-    "repetitions": _INTEGER,
-    "seed": _INTEGER,
-    "channels": "a non-empty list of objects",
+    "fs": _RATE, "sigma_t": _NUMBER, "codes": _INTEGER, "period_no": _INTEGER,
+    "repetitions": _INTEGER, "seed": _INTEGER,
+    "channels": "a non-empty list of objects", "shape": "null or a list of numbers",
 }
 _CHANNEL_KEYS = {"file": "a string", "seed": _INTEGER, "code_row": _INTEGER}
 _TARGET_KEYS = {
@@ -61,9 +56,6 @@ _NOISE_KEYS = {"kind": "a string", "level_db": _NUMBER}
 _DRIFT_KEYS = {
     "kind": "a string", "ppm": _NUMBER, "depth_s": _NUMBER, "rate_hz": _NUMBER,
 }
-# keys a simulate target may leave out, with stand-ins that pass their check
-_TARGET_OPTIONAL = {"nonlinearity": [], "noise": None, "drift": None}
-_DRIFT_OPTIONAL = {"ppm": 0.0, "depth_s": 0.0, "rate_hz": 0.0}
 # bool is an int subclass; NaN, infinities and ints beyond float range fail
 # the bound on abs(v).
 _IS_KIND = {
@@ -71,6 +63,7 @@ _IS_KIND = {
     and not isinstance(v, bool)
     and abs(v) <= sys.float_info.max,
     _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _RATE: lambda v: _IS_KIND[_NUMBER](v) and float(v).is_integer(),
     "a string": lambda v: isinstance(v, str),
     "null or a string path": lambda v: v is None or isinstance(v, str),
     "a non-empty list of objects": lambda v: isinstance(v, list)
@@ -79,26 +72,39 @@ _IS_KIND = {
     "null or an object": lambda v: v is None or isinstance(v, dict),
     "a list of numbers": lambda v: isinstance(v, list)
     and all(_IS_KIND[_NUMBER](c) for c in v),
+    "null or a list of numbers": lambda v: v is None
+    or _IS_KIND["a list of numbers"](v),
     "a list of number lists": lambda v: isinstance(v, list)
     and all(_IS_KIND["a list of numbers"](p) for p in v),
 }
 
 
-def _resolve_config(args, defaults: dict) -> dict:
-    """defaults < JSON config file < flags < FVNLAB_SEED."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+def _check_keys(path, doc, kinds, prefix="", optional=(), closed=True) -> None:
+    """`doc` is an object with every key of `kinds` but the `optional` ones,
+    each of the named kind, and, if `closed`, with no other key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    unknown = sorted(prefix + key for key in doc if key not in kinds) if closed else []
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(unknown)}")
+    missing = [prefix + key for key in kinds if key not in doc and key not in optional]
+    if missing:
+        raise ValueError(f"{path}: missing key {', '.join(missing)}")
+    for key, kind in kinds.items():
+        if key in doc and not _IS_KIND[kind](doc[key]):
+            raise ValueError(f"{path}: {prefix}{key} must be {kind}")
+
+
+def _resolve_config(args) -> dict:
+    """Defaults < JSON config file < flags < FVNLAB_SEED."""
+    cfg = {key: default for key, (default, _) in _SETTINGS.items()}
+    if args.config:
+        doc = fileio.read_json(args.config)
+        kinds = {key: kind for key, (_, kind) in _SETTINGS.items()}
+        _check_keys(args.config, doc, kinds, optional=kinds)
         cfg.update(doc)
-        _check_keys(path, cfg, _CONFIG_KEYS, "")
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in _SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     env_seed = _env_seed()
@@ -125,46 +131,35 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
         path = path / "manifest.json"
     if not path.is_file():
         raise ValueError(f"no manifest at {path}; measurement needs provenance")
-    manifest = fileio.read_manifest(path)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    _check_keys(path, manifest, _MANIFEST_KEYS, "")
+    manifest = fileio.read_json(path)
+    # open: simulate forwards the manifest with a "simulate" key added
+    _check_keys(path, manifest, _MANIFEST_KEYS, optional=("shape",), closed=False)
     for i, channel in enumerate(manifest["channels"]):
-        _check_keys(path, channel, _CHANNEL_KEYS, f"channels[{i}].")
-    shape = manifest.get("shape")
-    if shape is not None and not _IS_KIND["a list of numbers"](shape):
-        raise ValueError(f"{path}: shape must be null or a list of numbers")
+        _check_keys(path, channel, _CHANNEL_KEYS, f"channels[{i}].", closed=False)
     return path, manifest
 
 
-def _read_target(arg: str) -> SimTarget:
+def _read_recording(args) -> tuple[dict, SampledSignal]:
+    """The manifest and the recording `measure` and `align` work on."""
+    _, manifest = _read_manifest(args.manifest)
+    recorded = fileio.read_wav(args.recording)
+    if recorded.fs != manifest["fs"]:
+        raise ValueError(
+            f"recording rate {recorded.fs} does not match manifest {manifest['fs']}"
+        )
+    return manifest, recorded
+
+
+def _read_target(path: str) -> SimTarget:
     """A simulate target file, checked key by key before SimTarget reads it."""
-    path = Path(arg)
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for prefix, part, kinds, defaults in (
-        ("", doc, _TARGET_KEYS, _TARGET_OPTIONAL),
-        ("noise.", doc.get("noise"), _NOISE_KEYS, {}),
-        ("drift.", doc.get("drift"), _DRIFT_KEYS, _DRIFT_OPTIONAL),
-    ):
-        if prefix and not part:  # absent, null or {}: from_json adds none
-            continue
-        unknown = sorted(set(part) - set(kinds))
-        if unknown:
-            raise ValueError(f"{path}: unknown key {prefix}{', '.join(unknown)}")
-        _check_keys(path, {**defaults, **part}, kinds, prefix)
+    doc = fileio.read_json(path)
+    _check_keys(path, doc, _TARGET_KEYS, optional=("nonlinearity", "noise", "drift"))
+    if doc.get("noise"):  # absent, null or {}: from_json adds none
+        _check_keys(path, doc["noise"], _NOISE_KEYS, "noise.")
+    if doc.get("drift"):
+        optional = ("ppm", "depth_s", "rate_hz")
+        _check_keys(path, doc["drift"], _DRIFT_KEYS, "drift.", optional=optional)
     return SimTarget.from_json(path)
-
-
-def _check_keys(path: Path, doc: dict, kinds: dict, prefix: str) -> None:
-    """Every key of `kinds` is in `doc`, and its value is of the named kind."""
-    missing = [prefix + key for key in kinds if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing key {', '.join(missing)}")
-    for key, kind in kinds.items():
-        if not _IS_KIND[kind](doc[key]):
-            raise ValueError(f"{path}: {prefix}{key} must be {kind}")
 
 
 def _out_dir(args) -> Path:
@@ -195,17 +190,10 @@ def _channels_from_manifest(manifest: dict) -> tuple[
     return codes, filt, units, emitted
 
 
-def _check_fs(recorded: SampledSignal, manifest: dict) -> None:
-    if abs(recorded.fs - float(manifest["fs"])) > 1e-6:
-        raise ValueError(
-            f"recording rate {recorded.fs} does not match manifest {manifest['fs']}"
-        )
-
-
 def cmd_generate(args) -> int:
-    cfg = _resolve_config(args, GENERATE_DEFAULTS)
-    out = _out_dir(args)
+    cfg = _resolve_config(args)
     filt = fileio.read_filter(cfg["shape"]) if cfg["shape"] else None
+    out = _out_dir(args)
     seed = int(cfg["seed"])
     k_codes = build_code_matrix(int(cfg["codes"])).rows  # rejects bad counts first
     manifest = {
@@ -269,9 +257,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _, manifest = _read_manifest(args.manifest)
-    recorded = fileio.read_wav(args.recording)
-    _check_fs(recorded, manifest)
+    manifest, recorded = _read_recording(args)
     codes, filt, units, _ = _channels_from_manifest(manifest)
     if filt is not None:
         recorded = inverse_shape(recorded, filt)
@@ -327,9 +313,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_align(args) -> int:
-    _, manifest = _read_manifest(args.manifest)
-    recorded = fileio.read_wav(args.recording)
-    _check_fs(recorded, manifest)
+    manifest, recorded = _read_recording(args)
     *_, emitted = _channels_from_manifest(manifest)
     reference = multiplex(list(emitted))
     fs = recorded.fs
@@ -448,7 +432,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 1
+    flags = {k: v for k, v in vars(args).items() if k in _FLAG_KINDS and v is not None}
     try:
+        _check_keys("command line", flags, _FLAG_KINDS, optional=_FLAG_KINDS)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

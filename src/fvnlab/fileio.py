@@ -36,8 +36,12 @@ def write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def read_json(path: str | Path):
+    """A JSON document; a malformed one raises a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
 
 
 def write_filter(path: str | Path, filt: ShapingFilter) -> None:
@@ -46,7 +50,7 @@ def write_filter(path: str | Path, filt: ShapingFilter) -> None:
 
 
 def read_filter(path: str | Path) -> ShapingFilter:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a plain JSON array of coefficients")
     return ShapingFilter(np.asarray(doc, dtype=np.float64))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .resample import fftconvolve, resample_at, upsample2
+from .resample import fftconvolve, resample_oversampled
 from .signal import SampledSignal
 
 
@@ -121,11 +121,7 @@ def _polynomial(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def apply_drift(signal: SampledSignal, drift: DriftSpec) -> SampledSignal:
-    """Resample through the drifted clock (length preserved).
-
-    As in apply_warp, the signal is upsampled 2x before the windowed-sinc
-    evaluation so full-band content is not shaved by the kernel rolloff.
-    """
+    """Resample through the drifted clock (length preserved)."""
     n = len(signal)
     t = np.arange(n, dtype=np.float64)
     if drift.kind == "linear":
@@ -134,9 +130,7 @@ def apply_drift(signal: SampledSignal, drift: DriftSpec) -> SampledSignal:
         positions = t + drift.depth_s * signal.fs * np.sin(
             2.0 * np.pi * drift.rate_hz * t / signal.fs
         )
-    return SampledSignal(
-        resample_at(upsample2(signal.samples), 2.0 * positions), signal.fs
-    )
+    return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)
 
 
 def simulate(

@@ -14,6 +14,7 @@ import fvnlab
 from fvnlab import (
     FvnSpec,
     NoiseSpec,
+    SampledSignal,
     ShapingFilter,
     SimTarget,
     assemble_sequence,
@@ -27,7 +28,7 @@ from fvnlab import (
     synthesize_unit_fvn,
 )
 from fvnlab.cli import main
-from fvnlab.fileio import read_filter, read_manifest, read_wav, write_filter
+from fvnlab.fileio import read_filter, read_json, read_wav, write_filter, write_wav
 
 
 def run(*argv):
@@ -46,7 +47,7 @@ def test_generate_writes_channel_and_manifest(tmp_path):
     assert generate(d, sigma_t=0.005, period_no=4410, reps=12) == 0
     assert (d / "channel_0.wav").is_file()
     assert not (d / "multiplexed.wav").exists()
-    manifest = read_manifest(d / "manifest.json")
+    manifest = read_json(d / "manifest.json")
     assert manifest["codes"] == 1
     assert manifest["repetitions"] == 12
     assert manifest["channels"][0]["code_row"] == 0
@@ -105,7 +106,7 @@ def test_shaped_generation_and_analysis(tmp_path):
     write_filter(shape, design_slope_filter(-3.0, 44100.0))
     gen, sim, meas, ana = (tmp_path / n for n in ("gen", "sim", "meas", "ana"))
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, shape=shape) == 0
-    manifest = read_manifest(gen / "manifest.json")
+    manifest = read_json(gen / "manifest.json")
     assert len(manifest["shape"]) == 32
 
     assert run("analyze", gen / "channel_0.wav", "--out-dir", ana) == 0
@@ -209,7 +210,7 @@ def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP, names=N
     gen = tmp_path / "gen"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, seed=2) == 0
     path = gen / "manifest.json"
-    manifest = read_manifest(path)
+    manifest = read_json(path)
     doc, name = manifest, key
     if key.startswith("channels["):
         doc, name = manifest["channels"][0], key.split(".")[1]
@@ -324,6 +325,75 @@ def test_target_value_of_the_wrong_type_is_a_validation_error(
     assert not (tmp_path / "sim").exists()
 
 
+def check_one_error_line(capsys, argv, *names):
+    """`argv` exits 1 with one error line that holds each of `names`."""
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("which", ["config", "manifest", "target", "shape"])
+def test_malformed_json_is_a_validation_error_naming_the_file(tmp_path, capsys, which):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    text = (gen / "manifest.json").read_text()
+    bad = gen / "manifest.json" if which == "manifest" else tmp_path / "bad.json"
+    bad.write_text(text[: len(text) // 2])  # cut off mid-document
+    argv = {
+        "config": ["generate", "--config", bad],
+        "manifest": ["simulate", gen],
+        "target": ["simulate", gen, "--config", bad],
+        "shape": ["generate", "--shape", bad],
+    }[which]
+    check_one_error_line(capsys, [*argv, "--out-dir", out], str(bad), "malformed JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_truncation_is_a_validation_error(tmp_path, capsys, value):
+    ir, out = tmp_path / "ir.wav", tmp_path / "ana"
+    write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(255)], 44100.0))
+    argv = ["analyze", ir, "--truncate-ms", value, "--out-dir", out]
+    check_one_error_line(capsys, argv, "truncate_ms")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_drift_is_a_validation_error(tmp_path, capsys, value):
+    gen, out = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    argv = ["simulate", gen, "--drift-ppm", value, "--out-dir", out]
+    check_one_error_line(capsys, argv, "drift_ppm")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fractional_sample_rate_is_refused_before_synthesis(tmp_path, capsys, source):
+    """WAV files store a whole number of Hz; the rate is checked before any
+    channel is synthesized, not when the first file is written."""
+    out = tmp_path / "gen"
+    argv = ["generate", "--sigma-t", 0.005, "--period-no", 4410, "--reps", 12]
+    if source == "flag":
+        argv += ["--fs", 44100.5]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fs": 44100.5}))
+        argv += ["--config", cfg]
+    check_one_error_line(capsys, [*argv, "--out-dir", out], "fs", "whole number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "align"])
+def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, command):
+    gen, rec = tmp_path / "gen", tmp_path / "rec.wav"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    write_wav(rec, SampledSignal(read_wav(gen / "channel_0.wav").samples, 48000.0))
+    argv = [command, rec, gen, "--out-dir", tmp_path / "out"]
+    check_one_error_line(capsys, argv, "48000", "does not match manifest")
+
+
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
     """Only shaping and filter design load them; a fresh interpreter shows
     it, since this test process imports both anyway."""
@@ -408,7 +478,7 @@ def test_env_seed_wins_over_flags(tmp_path, monkeypatch):
     monkeypatch.setenv("FVNLAB_SEED", "9")
     d = tmp_path / "gen"
     assert generate(d, sigma_t=0.005, period_no=4410, reps=12, seed=3) == 0
-    manifest = read_manifest(d / "manifest.json")
+    manifest = read_json(d / "manifest.json")
     assert manifest["seed"] == 9
     assert manifest["channels"][0]["seed"] == 9
 

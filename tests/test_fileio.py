@@ -6,7 +6,7 @@ import pytest
 from fvnlab import SampledSignal, ShapingFilter
 from fvnlab.fileio import (
     read_filter,
-    read_manifest,
+    read_json,
     read_wav,
     write_filter,
     write_json,
@@ -57,7 +57,7 @@ def test_manifest_roundtrip(tmp_path):
     doc = {"fs": 44100.0, "channels": [{"seed": 3}], "shape": None}
     f = tmp_path / "manifest.json"
     write_json(f, doc)
-    assert read_manifest(f) == doc
+    assert read_json(f) == doc
 
 
 def test_filter_roundtrip(tmp_path):
@@ -97,4 +97,4 @@ def test_warp_csv_decimation(tmp_path):
 def test_report_is_valid_json(tmp_path):
     f = tmp_path / "report.json"
     write_json(f, {"drift_ppm": 99.9, "slope": 1.0000999})
-    assert read_manifest(f)["drift_ppm"] == 99.9
+    assert read_json(f)["drift_ppm"] == 99.9
