@@ -151,15 +151,15 @@ def _read_recording(args) -> tuple[dict, SampledSignal]:
 
 
 def _read_target(path: str) -> SimTarget:
-    """A simulate target file, checked key by key before SimTarget reads it."""
+    """A simulate target file, checked key by key before SimTarget is built."""
     doc = fileio.read_json(path)
     _check_keys(path, doc, _TARGET_KEYS, optional=("nonlinearity", "noise", "drift"))
-    if doc.get("noise"):  # absent, null or {}: from_json adds none
+    if doc.get("noise"):  # absent, null or {}: from_dict adds none
         _check_keys(path, doc["noise"], _NOISE_KEYS, "noise.")
     if doc.get("drift"):
         optional = ("ppm", "depth_s", "rate_hz")
         _check_keys(path, doc["drift"], _DRIFT_KEYS, "drift.", optional=optional)
-    return SimTarget.from_json(path)
+    return SimTarget.from_dict(doc)
 
 
 def _out_dir(args) -> Path:
@@ -302,6 +302,8 @@ def cmd_analyze(args) -> int:
     length = None
     if args.truncate_ms is not None:
         length = int(round(args.truncate_ms * 1e-3 * ir.fs))
+        if not 2 <= length <= len(ir):
+            raise ValueError(f"--truncate-ms is {length} samples, outside 2..{len(ir)}")
     smoothed = third_octave_smooth(power_spectrum(ir, analysis_length=length))
     out = _out_dir(args)
     fileio.write_spectrum_csv(out / "spectrum.csv", smoothed.freqs, smoothed.level_db)

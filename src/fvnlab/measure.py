@@ -57,6 +57,25 @@ def pulse_compress(recorded: SampledSignal, unit: SampledSignal) -> SampledSigna
     return SampledSignal(full[unit.samples.size - 1 :], recorded.fs)
 
 
+def _averaging_block(
+    length: int, period_no: int, n: int, guard_periods: int, total_periods: int | None
+) -> tuple[int, int]:
+    """(start, count) in periods of the block synchronized_average describes."""
+    if period_no < 1:
+        raise ValueError("period_no must be >= 1")
+    total = length // period_no
+    if total_periods is not None:
+        total = min(total, total_periods)
+    available = total - 2 * guard_periods
+    count = (available // n) * n if available > 0 else 0
+    if count < n:
+        raise ValueError(
+            f"too few periods: {total} total, need at least "
+            f"{n + 2 * guard_periods} for one code period plus guards"
+        )
+    return guard_periods + (available - count) // 2, count
+
+
 def synchronized_average(
     compressed: SampledSignal,
     code_row: np.ndarray,
@@ -78,23 +97,12 @@ def synchronized_average(
     row = np.asarray(code_row, dtype=np.float64)
     if row.ndim != 1 or not np.all(np.abs(row) == 1):
         raise ValueError("code_row must be a 1-D +-1 sequence")
-    if period_no < 1:
-        raise ValueError("period_no must be >= 1")
-    n = row.size
-    total = len(compressed) // period_no
-    if total_periods is not None:
-        total = min(total, total_periods)
-    available = total - 2 * guard_periods
-    count = (available // n) * n if available > 0 else 0
-    if count < n:
-        raise ValueError(
-            f"too few periods: {total} total, need at least "
-            f"{n + 2 * guard_periods} for one code period plus guards"
-        )
-    start = guard_periods + (available - count) // 2
+    start, count = _averaging_block(
+        len(compressed), period_no, row.size, guard_periods, total_periods
+    )
     block = compressed.samples[start * period_no : (start + count) * period_no]
     segments = block.reshape(count, period_no)
-    weights = row[(start + np.arange(count)) % n]
+    weights = row[(start + np.arange(count)) % row.size]
     return SampledSignal(weights @ segments / count, compressed.fs)
 
 
@@ -117,11 +125,11 @@ def demultiplex(
     recordings demultiplex to scaled or summed results.
 
     The result is pulse_compress then synchronized_average, up to rounding,
-    in the other order; both stay as the reference, so the block rule below
-    is synchronized_average's, written once more.  Fold: that block is
-    summed, each period times its code element and period_no + L - 1
-    samples long (L the unit length, zero-padded past the recording's end),
-    into one buffer.  Compress: correlate that buffer with the unit once.
+    in the other order; both stay as the reference, and _averaging_block
+    picks the block here as there.  Fold: that block is summed, each period
+    times its code element and period_no + L - 1 samples long (L the unit
+    length, zero-padded past the recording's end), into one buffer.
+    Compress: correlate that buffer with the unit once.
     """
     if not units:
         raise ValueError("need at least one unit FVN")
@@ -134,26 +142,15 @@ def demultiplex(
             raise ValueError(f"code row index {index} out of range 0..{codes.rows - 1}")
     if any(unit.fs != recorded.fs for unit in units):
         raise ValueError("sample rates of recording and unit FVN differ")
-    if period_no < 1:
-        raise ValueError("period_no must be >= 1")
-    n = codes.length
-    total = len(recorded) // period_no
-    if total_periods is not None:
-        total = min(total, total_periods)
-    available = total - 2 * guard_periods
-    count = (available // n) * n if available > 0 else 0
-    if count < n:
-        raise ValueError(
-            f"too few periods: {total} total, need at least "
-            f"{n + 2 * guard_periods} for one code period plus guards"
-        )
-    start = guard_periods + (available - count) // 2
+    start, count = _averaging_block(
+        len(recorded), period_no, codes.length, guard_periods, total_periods
+    )
     first, end = start * period_no, (start + count) * period_no
     end += max(unit.samples.size for unit in units) - 1
     block = recorded.samples[first:end]
     if block.size < end - first:
         block = np.concatenate([block, np.zeros(end - first - block.size)])
-    phases = (start + np.arange(count)) % n
+    phases = (start + np.arange(count)) % codes.length
     irs = []
     for unit, row_index in zip(units, code_row_indices):
         size = unit.samples.size

@@ -5,14 +5,13 @@ requested position (64 taps total).  At integer positions the kernel
 collapses to a unit impulse, so on-grid evaluation is exact.  Positions
 outside the signal read zeros.  Evaluation is blocked: cache-sized chunks
 of positions, with the taps in the inner loop over one-chunk vectors.
-resample_oversampled evaluates through a 2x upsampled copy, and the
-module also holds the FFT helpers upsample2 and fftconvolve.
+resample_oversampled evaluates through a 2x upsampled copy.  The FFT helpers
+upsample2 and fftconvolve use numpy.fft, the package's one FFT library.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 HALF_TAPS = 32
 _CHUNK = 1 << 13
@@ -94,13 +93,13 @@ def upsample2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x must be a 1-D array with at least 2 samples")
-    n = scipy.fft.next_fast_len(x.size)
-    spectrum = scipy.fft.rfft(x, n)
+    n = _fast_len(x.size, (2, 3, 5, 7, 11))
+    spectrum = np.fft.rfft(x, n)
     padded = np.zeros(n + 1, dtype=complex)
     padded[: spectrum.size] = spectrum
     if n % 2 == 0:
         padded[n // 2] *= 0.5  # split the Nyquist bin between +-fs/2
-    return scipy.fft.irfft(padded, 2 * n) * 2.0
+    return np.fft.irfft(padded, 2 * n) * 2.0
 
 
 def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -128,7 +127,29 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
     n = a.size + b.size - 1
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = scipy.fft.next_fast_len(n, False)
-        return scipy.fft.ifft(scipy.fft.fft(a, m) * scipy.fft.fft(b, m), m)[:n]
-    m = scipy.fft.next_fast_len(n, True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, m) * scipy.fft.rfft(b, m), m)[:n]
+        m = _fast_len(n, (2, 3, 5, 7, 11))
+        return np.fft.ifft(_fft(a, m) * _fft(b, m), m)[:n]
+    m = _fast_len(n, (2, 3, 5))
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+
+
+def _fast_len(n: int, primes: tuple[int, ...]) -> int:
+    """The smallest m >= n with no prime factor outside primes: scipy.fft's
+    next_fast_len(n, real) for primes (2, 3, 5) if real else (2, 3, 5, 7, 11)."""
+    power_of_two = 1 << (n - 1).bit_length()  # the answer for primes (2,)
+    odd = [1]  # every product of the odd primes below that, each doubled up to n
+    for p in primes[1:]:
+        for q in list(odd):
+            while (q := q * p) < power_of_two:
+                odd.append(q)
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
+def _fft(x: np.ndarray, m: int) -> np.ndarray:
+    """scipy.fft.fft(x, m).  For a real x, scipy fills bin 0 and the bins from
+    m / 2 up with the conjugate of rfft bin (m - k) % m; np.fft.fft differs."""
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, m)
+    half = np.fft.rfft(x, m)
+    lower, upper = half[1 : (m + 1) // 2], half[m // 2 : 0 : -1]
+    return np.concatenate((half[:1].conj(), lower, upper.conj()))

@@ -99,8 +99,7 @@ class SimTarget:
         Path(path).write_text(json.dumps(doc, indent=2))
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "SimTarget":
-        doc = json.loads(Path(path).read_text())
+    def from_dict(cls, doc: dict) -> "SimTarget":
         noise = doc.get("noise")
         drift = doc.get("drift")
         return cls(

@@ -360,6 +360,18 @@ def test_non_finite_truncation_is_a_validation_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "0.01", "1000"])
+def test_truncation_out_of_range_is_a_validation_error_naming_the_flag(
+    tmp_path, capsys, value
+):
+    """-1, 0 and 0.01 ms give fewer than 2 samples, 1000 ms more than the IR."""
+    ir, out = tmp_path / "ir.wav", tmp_path / "ana"
+    write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(4409)], 44100.0))
+    argv = ["analyze", ir, "--truncate-ms", value, "--out-dir", out]
+    check_one_error_line(capsys, argv, "--truncate-ms", "2..4410")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_drift_is_a_validation_error(tmp_path, capsys, value):
     gen, out = tmp_path / "gen", tmp_path / "sim"
@@ -395,12 +407,14 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
-    """Only shaping and filter design load them; a fresh interpreter shows
-    it, since this test process imports both anyway."""
+    """Only shaping and filter design load scipy.signal and scipy.optimize,
+    and nothing loads scipy.fft: numpy.fft computes every transform.  A
+    fresh interpreter shows it, since this test process imports all three."""
     src = Path(fvnlab.__file__).resolve().parents[1]
     code = (
         "import sys, fvnlab.cli; "
-        "print(sorted({'scipy.signal', 'scipy.optimize'} & set(sys.modules)))"
+        "print(sorted({'scipy.signal', 'scipy.optimize', 'scipy.fft'}"
+        " & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(

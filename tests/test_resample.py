@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 
 from fvnlab import resample
@@ -145,6 +146,21 @@ def test_upsample2_spectrum_stays_in_the_lower_half_band():
     assert np.max(spec[257:]) < 1e-12 * np.max(spec)
 
 
+@pytest.mark.parametrize("n", [1155, 4928, 52920])
+def test_upsample2_matches_scipy_at_its_fast_complex_length(n):
+    """The lengths are 11-smooth but not 5-smooth, so a 5-smooth transform
+    length would change the result; 1155 is odd and has no Nyquist bin."""
+    x = np.random.default_rng(n).standard_normal(n)
+    m = scipy.fft.next_fast_len(n)
+    spectrum = scipy.fft.rfft(x, m)
+    padded = np.zeros(m + 1, dtype=complex)
+    padded[: spectrum.size] = spectrum
+    if m % 2 == 0:
+        padded[m // 2] *= 0.5
+    expected = scipy.fft.irfft(padded, 2 * m) * 2.0
+    assert upsample2(x).tobytes() == expected.tobytes()
+
+
 def test_upsample2_validation():
     with pytest.raises(ValueError):
         upsample2(np.array([1.0]))
@@ -164,3 +180,20 @@ def test_fftconvolve_matches_scipy(n_kernel, complex_kernel):
     expected = scipy.signal.fftconvolve(x, kernel)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kernel", [[-1j, -1j, -1j], [-1 - 1j, -1 - 1j, -1 - 1j]])
+def test_fftconvolve_of_silence_matches_scipy_bit_for_bit(kernel):
+    """scipy's fft of a real input conjugates the bins that mirror onto
+    themselves; with a silent input that decides the signs of the zeros."""
+    silence, kernel = np.zeros(4), np.array(kernel)
+    got = fftconvolve(silence, kernel)
+    assert got.tobytes() == scipy.signal.fftconvolve(silence, kernel).tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_fast_len_matches_scipy(real):
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    lengths = [*range(1, 3000), 52919, 1 << 20, (1 << 20) + 1, 5_292_001]
+    got = [resample._fast_len(n, primes) for n in lengths]
+    assert got == [scipy.fft.next_fast_len(n, real) for n in lengths]

@@ -141,7 +141,7 @@ def test_target_json_roundtrip(tmp_path):
     )
     f = tmp_path / "target.json"
     target.to_json(f)
-    back = SimTarget.from_json(f)
+    back = SimTarget.from_dict(json.loads(f.read_text()))
     assert all(np.array_equal(a, b) for a, b in zip(back.paths, target.paths))
     assert np.array_equal(back.nonlinearity, target.nonlinearity)
     assert back.noise == target.noise
@@ -151,7 +151,7 @@ def test_target_json_roundtrip(tmp_path):
 def test_target_json_defaults(tmp_path):
     f = tmp_path / "minimal.json"
     f.write_text(json.dumps({"paths": [[1.0]]}))
-    target = SimTarget.from_json(f)
+    target = SimTarget.from_dict(json.loads(f.read_text()))
     assert np.array_equal(target.nonlinearity, [1.0])
     assert target.noise is None and target.drift is None
 
