@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -407,14 +408,14 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
-    """Only shaping and filter design load scipy.signal and scipy.optimize,
-    and nothing loads scipy.fft: numpy.fft computes every transform.  A
-    fresh interpreter shows it, since this test process imports all three."""
+    """Only shaping and filter design load scipy (scipy.signal and
+    scipy.optimize); WAV files and FFTs need numpy alone, so importing the
+    CLI loads no scipy module at all.  A fresh interpreter shows it, since
+    this test process imports scipy."""
     src = Path(fvnlab.__file__).resolve().parents[1]
     code = (
         "import sys, fvnlab.cli; "
-        "print(sorted({'scipy.signal', 'scipy.optimize', 'scipy.fft'}"
-        " & set(sys.modules)))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -426,6 +427,103 @@ def test_importing_the_cli_skips_scipy_signal_and_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from fvnlab.cli import main
+
+gen, sim, ali, meas, ana = sys.argv[1:]
+steps = [
+    ["generate", "--codes", "2", "--sigma-t", "0.005", "--period-no", "4410",
+     "--reps", "12", "--seed", "5", "--out-dir", gen],
+    ["simulate", gen, "--drift-ppm", "100", "--out-dir", sim],
+    ["align", sim + "/recording.wav", gen, "--out-dir", ali],
+    ["measure", ali + "/aligned.wav", gen, "--out-dir", meas],
+    ["analyze", meas + "/linear_ir.wav", "--truncate-ms", "3.2", "--out-dir", ana],
+]
+print([main(argv) for argv in steps])
+"""
+
+
+def test_unshaped_pipeline_runs_with_scipy_blocked(tmp_path):
+    """The README pipeline without --shape needs no scipy module: an import
+    hook that refuses every one of them changes no exit code."""
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    dirs = [str(tmp_path / d) for d in ("gen", "sim", "ali", "meas", "ana")]
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY, *dirs],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", done.stderr
+    assert (tmp_path / "ana" / "spectrum.csv").is_file()
+
+
+def riff(*chunks):
+    """A RIFF WAVE file from (id, body) chunks."""
+    body = b"".join(cid + struct.pack("<I", len(b)) + b for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def mono_fmt(tag, bits, channels=1):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, 44100, 44100 * block, block, bits)
+
+
+@pytest.mark.parametrize(
+    "content, names",
+    [
+        pytest.param(b"hello world, not audio", ["not a RIFF WAVE file"], id="not-riff"),
+        pytest.param(
+            riff((b"fmt ", mono_fmt(3, 32)), (b"data", b"")), ["non-empty"], id="empty"
+        ),
+        pytest.param(
+            riff((b"fmt ", mono_fmt(3, 32, channels=2)), (b"data", bytes(80))),
+            ["mono", "2 channels"],
+            id="stereo",
+        ),
+        pytest.param(
+            riff((b"fmt ", mono_fmt(1, 8)), (b"data", bytes(10))),
+            ["tag 1", "8 bits"],
+            id="8-bit",
+        ),
+        pytest.param(
+            riff((b"fmt ", mono_fmt(1, 24)), (b"data", bytes(30))),
+            ["tag 1", "24 bits"],
+            id="24-bit",
+        ),
+    ],
+)
+def test_unreadable_wav_is_a_validation_error_naming_the_file(
+    tmp_path, capsys, content, names
+):
+    bad, out = tmp_path / "bad.wav", tmp_path / "ana"
+    bad.write_bytes(content)
+    argv = ["analyze", bad, "--out-dir", out]
+    check_one_error_line(capsys, argv, f"error: {bad}: ", *names)  # path first
+    assert not out.exists()
+
+
+def test_truncated_wav_is_a_validation_error_naming_the_file(tmp_path, capsys):
+    """A data chunk shorter than its header says used to be read, partly."""
+    ir, out = tmp_path / "ir.wav", tmp_path / "ana"
+    write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(999)], 44100.0))
+    assert ir.stat().st_size == 4058
+    ir.write_bytes(ir.read_bytes()[:2000])
+    argv = ["analyze", ir, "--out-dir", out]
+    check_one_error_line(capsys, argv, f"error: {ir}: ", "truncated")
+    assert not out.exists()
 
 
 def test_missing_audio_is_a_processing_error(tmp_path):

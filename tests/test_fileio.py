@@ -1,7 +1,9 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from fvnlab import SampledSignal, ShapingFilter
 from fvnlab.fileio import (
@@ -35,8 +37,6 @@ def test_wav_rejects_fractional_sample_rate(tmp_path):
 
 
 def test_wav_rejects_stereo(tmp_path):
-    import scipy.io.wavfile
-
     f = tmp_path / "stereo.wav"
     scipy.io.wavfile.write(f, 44100, np.zeros((100, 2), dtype=np.float32))
     with pytest.raises(ValueError):
@@ -44,13 +44,97 @@ def test_wav_rejects_stereo(tmp_path):
 
 
 def test_integer_wav_is_normalized(tmp_path):
-    import scipy.io.wavfile
-
     f = tmp_path / "int16.wav"
     data = np.array([0, 16384, 32767, -32767], dtype=np.int16)
     scipy.io.wavfile.write(f, 44100, data)
     back = read_wav(f)
     np.testing.assert_allclose(back.samples, data / 32767.0, atol=1e-12)
+
+
+def riff(*chunks):
+    """A RIFF WAVE file from (id, body) chunks; odd bodies get a pad byte."""
+    body = b"".join(
+        cid + struct.pack("<I", len(b)) + b + b"\0" * (len(b) & 1) for cid, b in chunks
+    )
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def extensible_fmt(tag, bits, rate=44100):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk, mono, of sub-format `tag`."""
+    block = bits // 8
+    return struct.pack(
+        "<HHIIHHHHII12s", 0xFFFE, 1, rate, rate * block, block, bits, 22, bits, 4,
+        tag, b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    )
+
+
+def scipy_samples(path):
+    """The samples scipy.io.wavfile reads, scaled as read_wav scales them."""
+    rate, data = scipy.io.wavfile.read(path)
+    if np.issubdtype(data.dtype, np.integer):
+        data = data / float(np.iinfo(data.dtype).max)
+    return float(rate), np.asarray(data, dtype=np.float64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 4410, 100_003])
+def test_wav_writer_matches_scipy_byte_for_byte(tmp_path, n):
+    x = np.random.default_rng(n).standard_normal(n)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(ours, SampledSignal(x, 48000.0))
+    scipy.io.wavfile.write(theirs, 48000, x.astype(np.float32))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
+def test_wav_reader_matches_scipy(tmp_path, dtype):
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, 999)
+    if np.issubdtype(dtype, np.integer):
+        x = x * np.iinfo(dtype).max
+    f = tmp_path / "x.wav"
+    scipy.io.wavfile.write(f, 22050, x.astype(dtype))
+    got, (rate, expected) = read_wav(f), scipy_samples(f)
+    assert got.fs == rate == 22050.0
+    assert got.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag, dtype", [(1, np.int16), (1, np.int32), (3, np.float32)])
+def test_wav_reader_matches_scipy_on_extensible_files(tmp_path, tag, dtype):
+    x = np.random.default_rng(2).uniform(-0.5, 0.5, 101)
+    if np.issubdtype(dtype, np.integer):
+        x = x * np.iinfo(dtype).max
+    data = x.astype(dtype)
+    f = tmp_path / "ext.wav"
+    fmt = extensible_fmt(tag, 8 * data.itemsize)
+    f.write_bytes(riff((b"fmt ", fmt), (b"data", data.tobytes())))
+    got, (rate, expected) = read_wav(f), scipy_samples(f)
+    assert got.fs == rate == 44100.0
+    assert got.samples.tobytes() == expected.tobytes()
+
+
+def test_wav_reader_skips_an_odd_sized_chunk_before_the_data(tmp_path):
+    """A 5-byte LIST chunk takes a pad byte; the data after it must line up."""
+    x = np.random.default_rng(3).standard_normal(77).astype(np.float32)
+    f = tmp_path / "x.wav"
+    scipy.io.wavfile.write(f, 44100, x)
+    head = f.read_bytes()
+    data_at = head.index(b"data")
+    fmt = head[20 : 20 + 18]
+    f.write_bytes(riff((b"fmt ", fmt), (b"LIST", b"INFOx"), (b"data", head[data_at + 8 :])))
+    got, (_, expected) = read_wav(f), scipy_samples(f)
+    assert got.samples.tobytes() == expected.tobytes() == x.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "tag, bits",
+    [(1, 8), (1, 24), (3, 16), (7, 8)],  # unsigned 8, 24-bit PCM, half float, mu-law
+)
+def test_wav_formats_outside_the_table_are_refused(tmp_path, tag, bits):
+    block = bits // 8
+    fmt = struct.pack("<HHIIHH", tag, 1, 8000, 8000 * block, block, bits)
+    f = tmp_path / "x.wav"
+    f.write_bytes(riff((b"fmt ", fmt), (b"data", bytes(block * 10))))
+    with pytest.raises(ValueError, match=f"format tag {tag} with {bits} bits"):
+        read_wav(f)
 
 
 def test_manifest_roundtrip(tmp_path):
