@@ -15,11 +15,10 @@ from .align import (
     build_warp_map,
     track_phase,
 )
-from .codes import CodeMatrix, build_code_matrix, verify_orthogonality
+from .codes import build_code_matrix, verify_orthogonality
 from .fvn import (
     SIX_TERM_COEFFS,
     FvnSpec,
-    PhaseSpectrum,
     center_pulse,
     fvn_phase,
     phase_unit,
@@ -55,12 +54,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticProbe",
-    "CodeMatrix",
     "DriftSpec",
     "FvnSpec",
     "MeasurementResult",
     "NoiseSpec",
-    "PhaseSpectrum",
     "PhaseTrajectory",
     "PowerSpectrum",
     "SIX_TERM_COEFFS",

@@ -127,11 +127,13 @@ def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajector
 
     The recording is convolved with the probe (group delay compensated),
     probe-length edges are discarded, and the instantaneous frequency is
-    integrated (trapezoid) into a phase trajectory.  The integration
-    constant is the analytic phase angle at the strongest sample, with the
-    whole-cycle count chosen closest to the nominal phase 2 pi f_o t; this
-    pins the absolute phase as long as the initial offset between signal
-    and nominal timing stays under half a period.
+    integrated (trapezoid) into a phase trajectory.  Where the probe loses
+    the line (digital silence), only the longest run that keeps it is
+    tracked, less one probe length wherever it borders the loss.  The
+    integration constant is the analytic phase angle at the strongest
+    sample, with the whole-cycle count chosen closest to the nominal phase
+    2 pi f_o t; this pins the absolute phase as long as the initial offset
+    between signal and nominal timing stays under half a period.
     """
     if recorded.fs != probe.fs:
         raise ValueError("sample rates of recording and probe differ")
@@ -148,11 +150,14 @@ def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajector
         raise ValueError("fundamental not detected: band energy is zero")
     valid = mag >= 1e-6 * median  # below that the probe has lost the line
     if not np.all(valid):
-        # keep the longest contiguous valid run
+        # keep the longest contiguous valid run, less the probe windows
+        # that straddle an edge it shares with invalid samples
         edges = np.flatnonzero(np.diff(np.concatenate([[0], valid, [0]])))
         starts, stops = edges[::2], edges[1::2]
         best = np.argmax(stops - starts)
         lo, hi = int(starts[best]), int(stops[best])
+        lo += 2 * half if lo > 0 else 0
+        hi -= 2 * half if hi < y.size else 0
         if hi - lo < 16:
             raise ValueError("fundamental not detected: no stable band segment")
         y, mag = y[lo:hi], mag[lo:hi]

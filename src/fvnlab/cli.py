@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio, selftest
 from .align import apply_warp, build_probe, build_warp_map, track_phase
-from .codes import CodeMatrix, build_code_matrix
+from .codes import build_code_matrix
 from .measure import demultiplex, separate_nonlinear
 from .sequence import ShapingFilter, coded_channels, inverse_shape, multiplex
 from .signal import SampledSignal
@@ -29,6 +29,7 @@ from .sim import DriftSpec, SimTarget, simulate
 from .spectrum import power_spectrum, third_octave_smooth
 
 _NUMBER, _INTEGER, _RATE = "a finite number", "an integer", "a whole number of Hz"
+_SEED = "a non-negative integer"
 # generate setting -> (default, kind of a --config value)
 _SETTINGS = {
     "fs": (44100.0, _RATE),
@@ -36,18 +37,18 @@ _SETTINGS = {
     "codes": (1, _INTEGER),
     "period_no": (22050, _INTEGER),
     "reps": (16, _INTEGER),
-    "seed": (0, _INTEGER),
+    "seed": (0, _SEED),
     "shape": (None, "null or a string path"),
 }
 # flag values main checks before any command runs; FvnSpec and the plan checks
 # bound sigma_t and the counts before synthesis, naming their keys.
-_FLAG_KINDS = {"fs": _RATE, "drift_ppm": _NUMBER, "truncate_ms": _NUMBER}
+_FLAG_KINDS = {"fs": _RATE, "seed": _SEED, "drift_ppm": _NUMBER, "truncate_ms": _NUMBER}
 _MANIFEST_KEYS = {
     "fs": _RATE, "sigma_t": _NUMBER, "codes": _INTEGER, "period_no": _INTEGER,
-    "repetitions": _INTEGER, "seed": _INTEGER,
+    "repetitions": _INTEGER, "seed": _SEED,
     "channels": "a non-empty list of objects", "shape": "null or a list of numbers",
 }
-_CHANNEL_KEYS = {"file": "a string", "seed": _INTEGER, "code_row": _INTEGER}
+_CHANNEL_KEYS = {"file": "a string", "seed": _SEED, "code_row": _INTEGER}
 _TARGET_KEYS = {
     "paths": "a list of number lists", "nonlinearity": "a list of numbers",
     "noise": "null or an object", "drift": "null or an object",
@@ -63,6 +64,7 @@ _IS_KIND = {
     and not isinstance(v, bool)
     and abs(v) <= sys.float_info.max,
     _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _SEED: lambda v: _IS_KIND[_INTEGER](v) and v >= 0,
     _RATE: lambda v: _IS_KIND[_NUMBER](v) and float(v).is_integer(),
     "a string": lambda v: isinstance(v, str),
     "null or a string path": lambda v: v is None or isinstance(v, str),
@@ -114,14 +116,17 @@ def _resolve_config(args) -> dict:
 
 
 def _env_seed() -> int | None:
-    """FVNLAB_SEED as an integer, or None when it is not set."""
+    """FVNLAB_SEED as a non-negative integer, or None when it is not set."""
     value = os.environ.get("FVNLAB_SEED")
     if value is None:
         return None
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
-        raise ValueError(f"FVNLAB_SEED must be an integer, got {value!r}") from None
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"FVNLAB_SEED must be {_SEED}, got {value!r}")
+    return seed
 
 
 def _read_manifest(arg: str) -> tuple[Path, dict]:
@@ -168,11 +173,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _channels_from_manifest(manifest: dict) -> tuple[
-    CodeMatrix, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
+def _channels_from_manifest(manifest: dict, codes: np.ndarray | None = None) -> tuple[
+    np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
-    """Code matrix, shaping filter, unit pulses and lazily emitted signals."""
-    codes = build_code_matrix(int(manifest["codes"]))
+    """Code matrix (built from the manifest unless given), shaping filter,
+    unit pulses and lazily emitted signals."""
+    codes = build_code_matrix(int(manifest["codes"])) if codes is None else codes
     filt = None
     if manifest.get("shape"):
         filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
@@ -195,21 +201,25 @@ def cmd_generate(args) -> int:
     filt = fileio.read_filter(cfg["shape"]) if cfg["shape"] else None
     out = _out_dir(args)
     seed = int(cfg["seed"])
-    k_codes = build_code_matrix(int(cfg["codes"])).rows  # rejects bad counts first
+    codes = build_code_matrix(int(cfg["codes"]))  # rejects bad counts first
     manifest = {
         "fs": float(cfg["fs"]),
         "sigma_t": float(cfg["sigma_t"]),
-        "codes": k_codes,
+        "codes": len(codes),
         "period_no": int(cfg["period_no"]),
         "repetitions": int(cfg["reps"]),
         "seed": seed,
         "channels": [
             {"file": f"channel_{i}.wav", "seed": seed + i, "code_row": i}
-            for i in range(k_codes)
+            for i in range(len(codes))
         ],
         "shape": filt.a.tolist() if filt is not None else None,
     }
-    *_, emitted = _channels_from_manifest(manifest)
+    *_, emitted = _channels_from_manifest(manifest, codes)
+    # checked here, not with the flags, so the pulse-length check (which names
+    # sigma_t too) comes first; nothing is assembled or written yet
+    if manifest["fs"] > fileio.MAX_WAV_RATE:
+        raise ValueError(f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file")
     signals = list(emitted)
     for channel, signal in zip(manifest["channels"], signals):
         fileio.write_wav(out / channel["file"], signal)

@@ -20,6 +20,8 @@ from .signal import SampledSignal
 
 # (format tag, bits per sample) -> little-endian sample type: PCM 16/32, IEEE float 32/64
 _WAV_DTYPES = {(1, 16): "<i2", (1, 32): "<i4", (3, 32): "<f4", (3, 64): "<f8"}
+# highest sample rate whose byte rate 4 * fs fits the header's 32-bit field
+MAX_WAV_RATE = (2**32 - 1) // 4
 # WAVE_FORMAT_EXTENSIBLE sub-format GUID after its leading format tag (RFC 2361)
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
@@ -30,6 +32,10 @@ def write_wav(path: str | Path, signal: SampledSignal) -> None:
     rate = int(round(signal.fs))
     if abs(rate - signal.fs) > 1e-9:
         raise ValueError(f"WAV files need an integer sample rate, got {signal.fs}")
+    if rate > MAX_WAV_RATE:
+        raise ValueError(
+            f"{path}: sample rate {rate} Hz exceeds the WAV limit of {MAX_WAV_RATE} Hz"
+        )
     data = signal.samples.astype("<f4")
     header = struct.pack(
         "<4sI4s4sIHHIIHHH4sII4sI",

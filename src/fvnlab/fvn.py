@@ -94,25 +94,6 @@ class FvnSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSpectrum:
-    """Odd-symmetric phase samples over a full DFT grid of even size."""
-
-    phase: np.ndarray
-
-    def __post_init__(self):
-        phase = np.asarray(self.phase, dtype=np.float64)
-        k = phase.size
-        if phase.ndim != 1 or k < 2 or k % 2 != 0:
-            raise ValueError("phase must be a 1-D array of even length >= 2")
-        tol = 1e-12
-        if abs(phase[0]) > tol or abs(phase[k // 2]) > tol:
-            raise ValueError("phase must vanish at DC and Nyquist")
-        if np.max(np.abs(phase[1:] + phase[1:][::-1])) > tol:
-            raise ValueError("phase must be odd-symmetric about DC")
-        object.__setattr__(self, "phase", phase)
-
-
 def phase_unit(offset, half_width: float):
     """Six-term cosine bump evaluated `offset` bins away from its center.
 
@@ -154,13 +135,14 @@ def _accumulate_phase(
     )
 
 
-def fvn_phase(spec: FvnSpec) -> PhaseSpectrum:
+def fvn_phase(spec: FvnSpec) -> np.ndarray:
     """Build the random all-pass phase of a unit FVN.
 
     Bump centers follow the velvet-noise rule m * f_d + r1 * (f_d - 1) on
     the bin axis (kept real-valued, not rounded), spanning DC to Nyquist;
     each carries a random sign times phi_max.  f_d must map to at least one
-    DFT bin, otherwise the jitter term turns negative.
+    DFT bin, otherwise the jitter term turns negative.  The result is the
+    phase on the full dft_size_k-bin grid, odd-symmetric by construction.
     """
     k = spec.dft_size_k
     fd_bins = spec.f_d * k / spec.fs
@@ -179,8 +161,7 @@ def fvn_phase(spec: FvnSpec) -> PhaseSpectrum:
     centers = np.arange(n_candidates) * fd_bins + r1 * (fd_bins - 1.0)
     signs = np.where(r2 >= 0.5, spec.phi_max, -spec.phi_max)
     keep = centers <= k / 2
-    phase = _accumulate_phase(k, centers[keep], signs[keep], support_bins)
-    return PhaseSpectrum(phase)
+    return _accumulate_phase(k, centers[keep], signs[keep], support_bins)
 
 
 def synthesize_unit_fvn(spec: FvnSpec) -> SampledSignal:
@@ -191,8 +172,7 @@ def synthesize_unit_fvn(spec: FvnSpec) -> SampledSignal:
     A non-negligible imaginary residue would mean the phase lost its odd
     symmetry, which is treated as a bug rather than rounded away.
     """
-    phase = fvn_phase(spec)
-    h = np.fft.ifft(np.exp(1j * phase.phase))
+    h = np.fft.ifft(np.exp(1j * fvn_phase(spec)))
     peak = np.max(np.abs(h.real))
     if np.max(np.abs(h.imag)) > 1e-10 * peak:
         raise ValueError("imaginary residue too large; phase symmetry broken")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import CodeMatrix
+from .codes import averaging_block, row_of
 from .resample import fftconvolve
 from .signal import SampledSignal
 
@@ -57,25 +57,6 @@ def pulse_compress(recorded: SampledSignal, unit: SampledSignal) -> SampledSigna
     return SampledSignal(full[unit.samples.size - 1 :], recorded.fs)
 
 
-def _averaging_block(
-    length: int, period_no: int, n: int, guard_periods: int, total_periods: int | None
-) -> tuple[int, int]:
-    """(start, count) in periods of the block synchronized_average describes."""
-    if period_no < 1:
-        raise ValueError("period_no must be >= 1")
-    total = length // period_no
-    if total_periods is not None:
-        total = min(total, total_periods)
-    available = total - 2 * guard_periods
-    count = (available // n) * n if available > 0 else 0
-    if count < n:
-        raise ValueError(
-            f"too few periods: {total} total, need at least "
-            f"{n + 2 * guard_periods} for one code period plus guards"
-        )
-    return guard_periods + (available - count) // 2, count
-
-
 def synchronized_average(
     compressed: SampledSignal,
     code_row: np.ndarray,
@@ -97,7 +78,7 @@ def synchronized_average(
     row = np.asarray(code_row, dtype=np.float64)
     if row.ndim != 1 or not np.all(np.abs(row) == 1):
         raise ValueError("code_row must be a 1-D +-1 sequence")
-    start, count = _averaging_block(
+    start, count = averaging_block(
         len(compressed), period_no, row.size, guard_periods, total_periods
     )
     block = compressed.samples[start * period_no : (start + count) * period_no]
@@ -109,7 +90,7 @@ def synchronized_average(
 def demultiplex(
     recorded: SampledSignal,
     units: list[SampledSignal],
-    codes: CodeMatrix,
+    codes: np.ndarray,
     period_no: int,
     code_row_indices: list[int] | None = None,
     guard_periods: int = 2,
@@ -125,7 +106,7 @@ def demultiplex(
     recordings demultiplex to scaled or summed results.
 
     The result is pulse_compress then synchronized_average, up to rounding,
-    in the other order; both stay as the reference, and _averaging_block
+    in the other order; both stay as the reference, and averaging_block
     picks the block here as there.  Fold: that block is summed, each period
     times its code element and period_no + L - 1 samples long (L the unit
     length, zero-padded past the recording's end), into one buffer.
@@ -137,25 +118,24 @@ def demultiplex(
         code_row_indices = list(range(len(units)))
     if len(code_row_indices) != len(units):
         raise ValueError("one code row index per unit required")
-    for index in code_row_indices:
-        if not 0 <= index < codes.rows:
-            raise ValueError(f"code row index {index} out of range 0..{codes.rows - 1}")
+    rows = [row_of(codes, index) for index in code_row_indices]
     if any(unit.fs != recorded.fs for unit in units):
         raise ValueError("sample rates of recording and unit FVN differ")
-    start, count = _averaging_block(
-        len(recorded), period_no, codes.length, guard_periods, total_periods
+    n = codes.shape[1]
+    start, count = averaging_block(
+        len(recorded), period_no, n, guard_periods, total_periods
     )
     first, end = start * period_no, (start + count) * period_no
     end += max(unit.samples.size for unit in units) - 1
     block = recorded.samples[first:end]
     if block.size < end - first:
         block = np.concatenate([block, np.zeros(end - first - block.size)])
-    phases = (start + np.arange(count)) % codes.length
+    phases = (start + np.arange(count)) % n
     irs = []
-    for unit, row_index in zip(units, code_row_indices):
+    for unit, row in zip(units, rows):
         size = unit.samples.size
         periods = sliding_window_view(block, period_no + size - 1)[::period_no][:count]
-        folded = codes.row(row_index)[phases] @ periods
+        folded = row[phases] @ periods
         ir = fftconvolve(folded, unit.samples[::-1])[size - 1 : size - 1 + period_no]
         irs.append(SampledSignal(ir / count, recorded.fs))
     linear = SampledSignal(np.mean([ir.samples for ir in irs], axis=0), recorded.fs)
@@ -196,7 +176,7 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
 def noise_floor(
     background: SampledSignal,
     units: list[SampledSignal],
-    codes: CodeMatrix,
+    codes: np.ndarray,
     period_no: int,
     expected_length: int | None = None,
 ) -> SampledSignal:

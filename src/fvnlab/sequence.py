@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .codes import CodeMatrix
+from .codes import averaging_block, row_of
 from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
 from .signal import SampledSignal
 
@@ -78,7 +78,7 @@ class ShapingFilter:
 
 def assemble_sequence(
     unit: SampledSignal,
-    codes: CodeMatrix,
+    codes: np.ndarray,
     code_row_index: int,
     period_no: int,
     repetitions: int,
@@ -88,24 +88,14 @@ def assemble_sequence(
     Repetition r (0-based) starts at sample r * period_no with polarity
     row[r mod n] of code row code_row_index.  The buffer is repetitions *
     period_no samples plus whatever tail of the final copy sticks out.
-    repetitions must cover one full code period plus two guard periods at
-    each end, i.e. n + 4, so the receiver can discard edge transients and
-    still average a code-aligned block.  `unit` is placed exactly as given:
-    the emission form of an FVN is center_pulse of the synthesized buffer.
+    repetitions must leave the receiver a block to average (see
+    codes.averaging_block): one full code period plus two guard periods at
+    each end.  `unit` is placed exactly as given: the emission form of an
+    FVN is center_pulse of the synthesized buffer.
     """
-    if period_no < 1:
-        raise ValueError(f"period_no must be >= 1, got {period_no}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if code_row_index < 0:
-        raise ValueError("code_row_index must be >= 0")
-    row = codes.row(code_row_index)
-    n = codes.length
-    if repetitions < n + 4:
-        raise ValueError(
-            f"repetitions must be >= code length + 4 guards ({n + 4}), "
-            f"got {repetitions}"
-        )
+    row = row_of(codes, code_row_index)
+    n = row.size
+    averaging_block(repetitions * period_no, period_no, n)
     pulse = unit.samples
     p = period_no
     length = repetitions * p + max(0, pulse.size - p)
@@ -161,7 +151,7 @@ def coded_channels(
     fs: float,
     seeds: Sequence[int],
     code_rows: Sequence[int],
-    codes: CodeMatrix,
+    codes: np.ndarray,
     period_no: int,
     repetitions: int,
     filt: ShapingFilter | None = None,

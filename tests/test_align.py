@@ -76,6 +76,27 @@ def test_tracked_tone_matches_nominal_phase():
     assert np.max(np.abs(traj.phase - nominal)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "silent",
+    [(0.0, 1.5), (3.0, 4.5)],  # leading silence; a gap after the longest run
+)
+def test_tracking_across_silence_drops_the_probe_transients(silent):
+    """Samples whose probe window straddles an edge of digital silence are
+    not kept: the kept run matches the nominal phase as closely as a tone
+    without silence does."""
+    t = np.arange(int(5.5 * FS)) / FS
+    tone = np.cos(2.0 * np.pi * 20.0 * t)
+    tone[(t >= silent[0]) & (t < silent[1])] = 0.0
+    probe = build_probe(20.0, 1.0, FS)
+    traj = track_phase(SampledSignal(tone, FS), probe)
+    assert traj.times[-1] - traj.times[0] > 2.0
+    reach = probe.half / FS  # a probe window spans +-reach around its sample
+    straddling = (traj.times > silent[0] - reach) & (traj.times < silent[1] + reach)
+    assert not np.any(straddling)
+    nominal = 2.0 * np.pi * 20.0 * traj.times
+    assert np.max(np.abs(traj.phase - nominal)) < 1e-6
+
+
 def test_tracked_tone_sees_a_frequency_offset():
     eps = 1e-4
     traj = tracked_tone(20.0, eps=eps)

@@ -398,6 +398,36 @@ def test_fractional_sample_rate_is_refused_before_synthesis(tmp_path, capsys, so
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sample_rate_beyond_the_wav_header_is_refused_before_synthesis(
+    tmp_path, capsys, source
+):
+    """A WAV header stores the byte rate 4 * fs in 32 bits; the rate is
+    refused before any channel is assembled or written."""
+    out = tmp_path / "gen"
+    argv = ["generate", "--sigma-t", 1e-8, "--period-no", 64, "--reps", 8]
+    if source == "flag":
+        argv += ["--fs", 2000000000]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fs": 2000000000}))
+        argv += ["--config", cfg]
+    check_one_error_line(capsys, [*argv, "--out-dir", out], "fs", "1073741823")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["measure", "align"])
+def test_code_row_beyond_the_matrix_is_a_validation_error(tmp_path, capsys, command):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
+    manifest = read_json(gen / "manifest.json")
+    manifest["channels"][1]["code_row"] = 5
+    (gen / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, gen / "multiplexed.wav", gen, "--out-dir", out]
+    check_one_error_line(capsys, argv, "code row index 5 out of range 0..1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["measure", "align"])
 def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, command):
     gen, rec = tmp_path / "gen", tmp_path / "rec.wav"
@@ -612,6 +642,56 @@ def test_non_integer_env_seed_is_a_validation_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "FVNLAB_SEED" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate"])
+def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys, command):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    if command == "simulate":
+        assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+        target = tmp_path / "target.json"
+        target.write_text(
+            json.dumps({"paths": [[1.0]], "noise": {"kind": "white", "level_db": -40}})
+        )
+        argv = ["simulate", gen, "--config", target, "--seed", -1]
+    else:
+        argv = ["generate", "--sigma-t", 0.005, "--period-no", 4410, "--reps", 12]
+        argv += ["--seed", -3]
+    check_one_error_line(
+        capsys, [*argv, "--out-dir", out], "command line", "seed", "non-negative"
+    )
+    assert not out.exists()
+
+
+def test_negative_config_seed_is_a_validation_error(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "gen"
+    cfg.write_text(json.dumps({"seed": -1}))
+    argv = ["generate", "--config", cfg, "--out-dir", out]
+    check_one_error_line(capsys, argv, str(cfg), "seed", "non-negative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key", [("simulate", "seed"), ("measure", "channels[0].seed")]
+)
+def test_negative_manifest_seed_is_a_validation_error(tmp_path, capsys, command, key):
+    check_manifest_rejected(tmp_path, capsys, command, key, -1)
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate"])
+def test_negative_env_seed_is_a_validation_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    argv = ["generate", "--sigma-t", 0.005, "--period-no", 4410, "--reps", 12]
+    if command == "simulate":
+        assert run(*argv, "--out-dir", gen) == 0
+        argv = ["simulate", gen]
+    monkeypatch.setenv("FVNLAB_SEED", "-2")
+    check_one_error_line(
+        capsys, [*argv, "--out-dir", out], "FVNLAB_SEED", "non-negative", "'-2'"
+    )
+    assert not out.exists()
 
 
 def test_generation_is_bit_reproducible(tmp_path):

@@ -1,67 +1,63 @@
 import numpy as np
 import pytest
 
-from fvnlab import CodeMatrix, build_code_matrix, verify_orthogonality
+from fvnlab import build_code_matrix, verify_orthogonality
 
 
 def test_matrix_shape_and_entries():
     codes = build_code_matrix(3)
-    assert codes.rows == 3
-    assert codes.length == 16
-    assert codes.matrix.shape == (3, 16)
-    assert set(np.unique(codes.matrix)) <= {-1.0, 1.0}
+    assert len(codes) == 3
+    assert codes.shape[1] == 16
+    assert codes.shape == (3, 16)
+    assert codes.dtype == np.int64
+    assert set(np.unique(codes)) <= {-1.0, 1.0}
 
 
 def test_row_zero_is_all_ones():
     for k in (1, 2, 5):
-        assert np.all(build_code_matrix(k).row(0) == 1.0)
+        assert np.all(build_code_matrix(k)[0] == 1.0)
 
 
 def test_row_k_has_blocks_of_half_period():
     codes = build_code_matrix(3)
     # row 1: period 16 in blocks of 1, row 2: blocks of 2
-    np.testing.assert_array_equal(codes.row(1), (-1.0) ** np.arange(16))
+    np.testing.assert_array_equal(codes[1], (-1.0) ** np.arange(16))
     np.testing.assert_array_equal(
-        codes.row(2), np.repeat([1.0, -1.0], 2).tolist() * 4
+        codes[2], np.repeat([1.0, -1.0], 2).tolist() * 4
     )
 
 
 def test_rows_above_zero_sum_to_zero():
     codes = build_code_matrix(6)
-    sums = codes.matrix.sum(axis=1)
-    assert sums[0] == codes.length
+    sums = codes.sum(axis=1)
+    assert sums[0] == codes.shape[1]
     assert np.all(sums[1:] == 0.0)
 
 
 def test_gram_matrix_is_exactly_scaled_identity():
     for k in range(1, 9):
         codes = build_code_matrix(k)
-        gram = codes.matrix @ codes.matrix.T
-        assert np.array_equal(gram, codes.length * np.eye(k))
+        gram = codes @ codes.T
+        assert np.array_equal(gram, codes.shape[1] * np.eye(k))
         assert verify_orthogonality(codes)
 
 
 def test_orthogonal_under_every_cyclic_shift():
     """Distinct rows stay orthogonal when the sequence start is unknown."""
     codes = build_code_matrix(4)
-    n = codes.length
+    n = codes.shape[1]
     for shift in range(n):
-        shifted = np.roll(codes.matrix, shift, axis=1)
-        gram = codes.matrix @ shifted.T
-        off = gram[~np.eye(codes.rows, dtype=bool)]
+        shifted = np.roll(codes, shift, axis=1)
+        gram = codes @ shifted.T
+        off = gram[~np.eye(len(codes), dtype=bool)]
         assert np.all(off == 0.0)
 
 
 def test_verify_detects_corruption():
     codes = build_code_matrix(2)
-    bad = codes.matrix.copy()
+    bad = codes.copy()
     bad[1, 0] = -bad[1, 0]
-    assert not verify_orthogonality(CodeMatrix(bad))
-
-
-def test_code_matrix_rejects_non_binary_entries():
-    with pytest.raises(ValueError):
-        CodeMatrix(np.zeros((2, 8)))
+    assert not verify_orthogonality(bad)
 
 
 def test_build_bounds():

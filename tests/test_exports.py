@@ -13,7 +13,9 @@ def test_every_exported_name_resolves():
 
 
 def test_retired_names_are_gone():
-    assert not hasattr(fvnlab, "SequencePlan")
+    for name in ["SequencePlan", "CodeMatrix", "PhaseSpectrum"]:
+        assert not hasattr(fvnlab, name)
+        assert name not in fvnlab.__all__
     assert not hasattr(fvnlab.sequence, "SequencePlan")
     assert not hasattr(fileio, "write_manifest")
     assert not hasattr(fileio, "write_report")
@@ -24,7 +26,6 @@ def test_retired_names_are_gone():
         (fvnlab.SmoothedSpectrum, "db_reference"),
     ]:
         assert name not in {field.name for field in dataclasses.fields(cls)}
-    assert not hasattr(fvnlab.PhaseSpectrum, "dft_size")
     assert not hasattr(fvnlab.ShapingFilter, "order")
     for func, name in [
         (fvnlab.track_phase, "floor_rel"),

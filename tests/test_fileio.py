@@ -7,6 +7,7 @@ import scipy.io.wavfile
 
 from fvnlab import SampledSignal, ShapingFilter
 from fvnlab.fileio import (
+    MAX_WAV_RATE,
     read_filter,
     read_json,
     read_wav,
@@ -34,6 +35,18 @@ def test_wav_rejects_fractional_sample_rate(tmp_path):
     sig = SampledSignal(np.zeros(10), 44100.5)
     with pytest.raises(ValueError):
         write_wav(tmp_path / "x.wav", sig)
+
+
+def test_wav_sample_rate_is_bounded_by_the_header(tmp_path):
+    """The header stores the byte rate 4 * fs in 32 bits."""
+    assert MAX_WAV_RATE == 1_073_741_823
+    top = tmp_path / "top.wav"
+    write_wav(top, SampledSignal(np.zeros(10), float(MAX_WAV_RATE)))
+    assert read_wav(top).fs == MAX_WAV_RATE
+    over = tmp_path / "over.wav"
+    with pytest.raises(ValueError, match=f"{over}.*{MAX_WAV_RATE}"):
+        write_wav(over, SampledSignal(np.zeros(10), MAX_WAV_RATE + 1.0))
+    assert not over.exists()
 
 
 def test_wav_rejects_stereo(tmp_path):

@@ -128,7 +128,7 @@ def test_phase_unit_rejects_bad_half_width():
 
 
 def test_fvn_phase_is_odd_symmetric():
-    phase = fvn_phase(FvnSpec(sigma_t=0.01, seed=4)).phase
+    phase = fvn_phase(FvnSpec(sigma_t=0.01, seed=4))
     k = phase.size
     assert abs(phase[0]) <= 1e-12
     assert abs(phase[k // 2]) <= 1e-12

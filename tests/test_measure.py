@@ -187,7 +187,7 @@ def composed_irs(recorded, units, codes, period_no, rows, guard_periods, total_p
     return [
         synchronized_average(
             pulse_compress(recorded, unit),
-            codes.row(row),
+            codes[row],
             period_no,
             guard_periods,
             total_periods=total_periods,

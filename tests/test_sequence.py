@@ -9,6 +9,7 @@ from fvnlab import (
     assemble_sequence,
     build_code_matrix,
     center_pulse,
+    demultiplex,
     design_slope_filter,
     inverse_shape,
     multiplex,
@@ -34,9 +35,9 @@ def test_assembly_places_code_signed_copies():
     probe = SampledSignal(np.array([1.0]), FS)
     seq = assemble_sequence(probe, codes, 1, period_no=100, repetitions=12)
     assert len(seq) == 12 * 100
-    row = codes.row(1)
+    row = codes[1]
     for r in range(12):
-        assert seq.samples[r * 100] == row[r % codes.length]
+        assert seq.samples[r * 100] == row[r % codes.shape[1]]
     rest = seq.samples.copy()
     rest[::100] = 0.0
     assert np.all(rest == 0.0)
@@ -61,6 +62,25 @@ def test_too_few_repetitions_rejected():
         assemble_sequence(unit, codes, 0, period_no=1000, repetitions=11)
 
 
+@pytest.mark.parametrize("k_codes", [1, 2, 3, 4])
+def test_emitter_and_receiver_share_one_averaging_rule(k_codes):
+    """The emitter takes exactly n + 4 repetitions (one code period plus two
+    guard periods at each end) and refuses n + 3, naming both counts; the
+    receiver then averages exactly n periods of the accepted plan."""
+    codes = build_code_matrix(k_codes)
+    n = codes.shape[1]
+    unit = SampledSignal(np.array([1.0]), FS)
+    row = k_codes - 1
+    with pytest.raises(ValueError, match=rf"{n + 3} repetitions.* {n + 4} "):
+        assemble_sequence(unit, codes, row, period_no=16, repetitions=n + 3)
+    emitted = assemble_sequence(unit, codes, row, period_no=16, repetitions=n + 4)
+    result = demultiplex(
+        emitted, [unit], codes, 16, code_row_indices=[row], total_periods=n + 4
+    )
+    assert result.periods_averaged == n
+    np.testing.assert_allclose(result.linear_ir.samples, np.eye(1, 16)[0], atol=1e-12)
+
+
 def test_plan_validation():
     codes = build_code_matrix(1)
     unit = SampledSignal(np.array([1.0]), FS)
@@ -68,6 +88,8 @@ def test_plan_validation():
         assemble_sequence(unit, codes, 0, period_no=0, repetitions=8)
     with pytest.raises(ValueError):
         assemble_sequence(unit, codes, -1, period_no=100, repetitions=8)
+    with pytest.raises(ValueError, match="code row index 1 out of range 0..0"):
+        assemble_sequence(unit, codes, 1, period_no=100, repetitions=8)
 
 
 def test_multiplex_sums_and_pads():
