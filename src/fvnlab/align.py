@@ -119,7 +119,12 @@ def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
 
 def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
     """angle(y[n+1] conj(y[n])) * fs / (2 pi) for every interval [n, n+1]."""
-    return np.angle(y[1:] * np.conj(y[:-1])) * fs / (2.0 * np.pi)
+    product = np.conj(y[:-1])
+    product *= y[1:]
+    freq = np.angle(product)
+    freq *= fs
+    freq /= 2.0 * np.pi
+    return freq
 
 
 def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajectory:
@@ -162,17 +167,24 @@ def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajector
             raise ValueError("fundamental not detected: no stable band segment")
         y, mag = y[lo:hi], mag[lo:hi]
         offset += lo
-    freq = _interval_frequency(y, recorded.fs)
-    # freq[n] is the exact average over [n, n+1], so summing the interval
-    # areas integrates the trajectory without further quadrature error.
-    phase_rel = np.concatenate([[0.0], np.cumsum(2.0 * np.pi * freq / recorded.fs)])
-    times = (offset + np.arange(y.size)) / recorded.fs
+    step = _interval_frequency(y, recorded.fs)
+    step *= 2.0 * np.pi
+    step /= recorded.fs
+    # step[n] is the exact phase advance over [n, n+1] (its frequency is the
+    # exact average there), so summing the steps integrates the trajectory
+    # without further quadrature error.
+    phase_rel = np.empty(y.size)
+    phase_rel[0] = 0.0
+    np.cumsum(step, out=phase_rel[1:])
+    times = np.arange(y.size, dtype=np.float64)
+    times += offset
+    times /= recorded.fs
     anchor = int(np.argmax(mag))
     nominal = 2.0 * np.pi * probe.f_o * times[anchor]
     measured = np.angle(y[anchor])
     cycles = np.round((nominal - measured) / (2.0 * np.pi))
-    constant = measured + 2.0 * np.pi * cycles - phase_rel[anchor]
-    return PhaseTrajectory(times, phase_rel + constant)
+    phase_rel += measured + 2.0 * np.pi * cycles - phase_rel[anchor]
+    return PhaseTrajectory(times, phase_rel)
 
 
 def build_warp_map(
@@ -207,7 +219,8 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
     signal span; extend it first if the tracker trimmed the edges.
     """
     n = len(signal)
-    t_out = np.arange(n) / signal.fs
+    t_out = np.arange(n, dtype=np.float64)
+    t_out /= signal.fs
     eps = 0.5 / signal.fs
     if warp.t_da[0] > t_out[0] + eps or warp.t_da[-1] < t_out[-1] - eps:
         raise ValueError(
@@ -215,5 +228,7 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
             f"([{warp.t_da[0]:.6f}, {warp.t_da[-1]:.6f}] s versus "
             f"[0, {t_out[-1]:.6f}] s); use WarpMap.extended"
         )
-    positions = np.interp(t_out, warp.t_da, warp.t_ad) * signal.fs
+    positions = np.interp(t_out, warp.t_da, warp.t_ad)
+    del t_out
+    positions *= signal.fs
     return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)

@@ -199,7 +199,6 @@ def _channels_from_manifest(manifest: dict, codes: np.ndarray | None = None) -> 
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     filt = fileio.read_filter(cfg["shape"]) if cfg["shape"] else None
-    out = _out_dir(args)
     seed = int(cfg["seed"])
     codes = build_code_matrix(int(cfg["codes"]))  # rejects bad counts first
     manifest = {
@@ -220,34 +219,45 @@ def cmd_generate(args) -> int:
     # sigma_t too) comes first; nothing is assembled or written yet
     if manifest["fs"] > fileio.MAX_WAV_RATE:
         raise ValueError(f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file")
-    signals = list(emitted)
-    for channel, signal in zip(manifest["channels"], signals):
-        fileio.write_wav(out / channel["file"], signal)
-    if len(signals) > 1:
-        fileio.write_wav(out / "multiplexed.wav", multiplex(signals))
+    out = Path(args.out_dir)
+
+    def written():
+        """Each channel, written to its file as it is emitted."""
+        for channel, signal in zip(manifest["channels"], emitted):
+            # assembling channel 0 ran the plan check, the last refusal
+            out.mkdir(parents=True, exist_ok=True)
+            fileio.write_wav(out / channel["file"], signal)
+            yield signal
+
+    if len(codes) > 1:
+        fileio.write_wav(out / "multiplexed.wav", multiplex(written()))
+    else:
+        next(written())  # the one channel; there is nothing to mix
     fileio.write_json(out / "manifest.json", manifest)
-    extra = " + multiplexed.wav" if len(signals) > 1 else ""
-    print(f"wrote {len(signals)} channel(s){extra} and manifest.json to {out}")
+    extra = " + multiplexed.wav" if len(codes) > 1 else ""
+    print(f"wrote {len(codes)} channel(s){extra} and manifest.json to {out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     path, manifest = _read_manifest(args.manifest)
-    inputs = [fileio.read_wav(path.parent / ch["file"]) for ch in manifest["channels"]]
+    channels = manifest["channels"]
     if args.config:
         target = _read_target(args.config)
     else:
-        target = SimTarget(paths=[np.array([1.0])] * len(inputs))
+        target = SimTarget(paths=[np.array([1.0])] * len(channels))
     if args.drift_ppm is not None:
         target = replace(target, drift=DriftSpec("linear", ppm=args.drift_ppm))
-    if len(target.paths) == len(inputs):
-        drive = inputs
-    elif len(target.paths) == 1 and len(inputs) > 1:
-        # one transducer: the mixed feed drives the single path
+    inputs = (fileio.read_wav(path.parent / ch["file"]) for ch in channels)
+    if len(target.paths) == len(channels):
+        drive = list(inputs)
+    elif len(target.paths) == 1 and len(channels) > 1:
+        # one transducer: the mixed feed drives the single path, summed as
+        # the files are read
         drive = [multiplex(inputs)]
     else:
         raise ValueError(
-            f"target has {len(target.paths)} paths for {len(inputs)} channels"
+            f"target has {len(target.paths)} paths for {len(channels)} channels"
         )
     seed = _env_seed()
     if seed is None:
@@ -327,7 +337,7 @@ def cmd_analyze(args) -> int:
 def cmd_align(args) -> int:
     manifest, recorded = _read_recording(args)
     *_, emitted = _channels_from_manifest(manifest)
-    reference = multiplex(list(emitted))
+    reference = multiplex(emitted)
     fs = recorded.fs
     period = int(manifest["period_no"])
     # Alternating code rows carry their energy at half-fundamental offsets,
@@ -343,20 +353,23 @@ def cmd_align(args) -> int:
             c_mag = 0.5
     probe = build_probe(fs / period, c_mag, fs)
     try:
-        warp = build_warp_map(
-            track_phase(reference, probe), track_phase(recorded, probe)
-        )
+        reference_phase = track_phase(reference, probe)
+        del reference  # only its trajectory is needed from here
+        warp = build_warp_map(reference_phase, track_phase(recorded, probe))
+        del reference_phase
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc
     slope, intercept = warp.linear_fit()
+    # warp.csv holds every decimate-th pair; with those copied out, only the
+    # extended map is held while apply_warp makes its record-length buffers
+    decimate = max(1, warp.t_ad.size // 20000)
+    table = warp.t_ad[::decimate].copy(), warp.t_da[::decimate].copy()
     margin = 4.0 * period / fs + 0.1
-    aligned = apply_warp(
-        recorded, warp.extended(-margin, recorded.duration + margin)
-    )
+    warp = warp.extended(-margin, recorded.duration + margin)
+    aligned = apply_warp(recorded, warp)
     out = _out_dir(args)
     fileio.write_wav(out / "aligned.wav", aligned)
-    decimate = max(1, warp.t_ad.size // 20000)
-    fileio.write_warp_csv(out / "warp.csv", warp.t_ad, warp.t_da, decimate=decimate)
+    fileio.write_warp_csv(out / "warp.csv", *table)
     report = {
         "slope": slope,
         "intercept_s": intercept,

@@ -2,11 +2,14 @@
 
 The interpolator is a Hann-windowed sinc with 32 taps on each side of the
 requested position (64 taps total).  At integer positions the kernel
-collapses to a unit impulse, so on-grid evaluation is exact.  Positions
-outside the signal read zeros.  Evaluation is blocked: cache-sized chunks
-of positions, with the taps in the inner loop over one-chunk vectors.
-resample_oversampled evaluates through a 2x upsampled copy.  The FFT helpers
-upsample2 and fftconvolve use numpy.fft, the package's one FFT library.
+collapses to a unit impulse, so on-grid evaluation is exact.  Taps and
+positions outside the signal read zeros; the signal itself is read, with no
+zero-padded copy.  Evaluation is blocked: cache-sized chunks of positions,
+with the taps in the inner loop over one-chunk vectors.
+resample_oversampled evaluates through a 2x upsampled copy, the one
+record-length buffer it adds besides the output.  The FFT helpers upsample2
+and fftconvolve use numpy.fft, the package's one FFT library, and scale and
+multiply their spectra in place.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ def resample_at(
     theorem, so w_k = (-1)^k (a + c cos(pi k / H) + d sin(pi k / H)) / (f - k)
     with a = sin(pi f) / 2 pi, c = a cos(pi f / H) and d = a sin(pi f / H)
     per position.  Each chunk of _CHUNK positions loops over the taps on
-    vectors that stay in cache.  x is padded with a zero at each end and
-    the gather clamps its indices there, so taps off the signal read zero.
-    Positions within 1e-15 of the grid, where w_k is 0 / 0, read the sample.
+    vectors that stay in cache.  The gather reads x itself with clamped
+    indices; only in a chunk whose taps reach past either end of x are the
+    taps off the signal then set to zero, which gives the same sums as a
+    zero-padded x.  Positions within 1e-15 of the grid, where w_k is 0 / 0,
+    read the sample, or zero off the signal.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -38,11 +43,12 @@ def resample_at(
         raise ValueError("x and positions must be 1-D")
     if half_taps < 1:
         raise ValueError("half_taps must be >= 1")
+    if x.size == 0:  # np.take refuses an empty source; every tap reads zero
+        return np.zeros(positions.size)
     taps = np.arange(-half_taps + 1, half_taps + 1)
     sign = np.where(taps % 2 == 0, 1.0, -1.0)
     cos_n = sign * np.cos(np.pi * taps / half_taps)
     sin_n = sign * np.sin(np.pi * taps / half_taps)
-    padded = np.concatenate(([0.0], x, [0.0]))
     out = np.empty(positions.size)
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, positions.size, _CHUNK):
@@ -54,9 +60,10 @@ def resample_at(
             up = frac > 1.0 - 1e-15
             base[up] += 1.0
             frac[up | (frac < 1e-15)] = 0.0
-            # padded index of tap 1 - H; clipping keeps the int64 cast defined
+            # x index of tap 1 - H; clipping keeps the int64 cast defined
             idx = np.clip(base, -half_taps - 1, x.size + half_taps).astype(np.int64)
-            idx += 2 - half_taps
+            idx += 1 - half_taps
+            edge = idx.min() < 0 or idx.max() + 2 * half_taps > x.size
             # sin(pi f) by reflection about 1/2: for f just under 1 the direct
             # pi * f cancels against pi, and the division by the nearest tap's
             # tiny f - k would blow that rounding error up by 1 / |f - k|.
@@ -73,12 +80,18 @@ def resample_at(
                 w += tmp
                 np.subtract(frac, k, out=tmp)
                 w /= tmp
-                np.take(padded, idx, out=tmp, mode="clip")
+                np.take(x, idx, out=tmp, mode="clip")
+                if edge:
+                    tmp[(idx < 0) | (idx >= x.size)] = 0.0
                 w *= tmp
                 acc += w
                 idx += 1
             on_grid = frac == 0.0  # acc is NaN there
-            acc[on_grid] = np.take(padded, idx[on_grid] - half_taps - 1, mode="clip")
+            idx = idx[on_grid] - half_taps - 1  # x index of tap 0
+            sample = np.take(x, idx, mode="clip")
+            if edge:
+                sample[(idx < 0) | (idx >= x.size)] = 0.0
+            acc[on_grid] = sample
             out[lo : lo + _CHUNK] = acc
     return out
 
@@ -88,18 +101,18 @@ def upsample2(x: np.ndarray) -> np.ndarray:
 
     Returns a signal of twice the (fast-length-padded) size whose even
     samples reproduce x and whose spectrum is confined to the lower half
-    band.
+    band.  The inverse transform zero-pads the half spectrum itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x must be a 1-D array with at least 2 samples")
     n = _fast_len(x.size, (2, 3, 5, 7, 11))
     spectrum = np.fft.rfft(x, n)
-    padded = np.zeros(n + 1, dtype=complex)
-    padded[: spectrum.size] = spectrum
     if n % 2 == 0:
-        padded[n // 2] *= 0.5  # split the Nyquist bin between +-fs/2
-    return np.fft.irfft(padded, 2 * n) * 2.0
+        spectrum[n // 2] *= 0.5  # split the Nyquist bin between +-fs/2
+    out = np.fft.irfft(spectrum, 2 * n)
+    out *= 2.0
+    return out
 
 
 def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -128,9 +141,13 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.size + b.size - 1
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         m = _fast_len(n, (2, 3, 5, 7, 11))
-        return np.fft.ifft(_fft(a, m) * _fft(b, m), m)[:n]
+        spectrum = _fft(a, m)
+        spectrum *= _fft(b, m)
+        return np.fft.ifft(spectrum, m)[:n]
     m = _fast_len(n, (2, 3, 5))
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+    spectrum = np.fft.rfft(a, m)
+    spectrum *= np.fft.rfft(b, m)
+    return np.fft.irfft(spectrum, m)[:n]
 
 
 def _fast_len(n: int, primes: tuple[int, ...]) -> int:
@@ -151,5 +168,8 @@ def _fft(x: np.ndarray, m: int) -> np.ndarray:
     if np.iscomplexobj(x):
         return np.fft.fft(x, m)
     half = np.fft.rfft(x, m)
-    lower, upper = half[1 : (m + 1) // 2], half[m // 2 : 0 : -1]
-    return np.concatenate((half[:1].conj(), lower, upper.conj()))
+    full = np.empty(m, dtype=half.dtype)
+    full[0] = half[0].conjugate()
+    full[1 : (m + 1) // 2] = half[1 : (m + 1) // 2]
+    np.conjugate(half[m // 2 : 0 : -1], out=full[(m + 1) // 2 :])
+    return full

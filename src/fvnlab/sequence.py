@@ -8,7 +8,7 @@ receiver separate overlapping content again.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +105,26 @@ def assemble_sequence(
     return SampledSignal(out, unit.fs)
 
 
-def multiplex(signals: list[SampledSignal]) -> SampledSignal:
-    """Samplewise sum of the given signals, zero-padded to the longest."""
-    if not signals:
-        raise ValueError("nothing to multiplex")
-    fs = signals[0].fs
-    if any(s.fs != fs for s in signals):
-        raise ValueError("cannot multiplex signals with different sample rates")
-    length = max(len(s) for s in signals)
-    out = np.zeros(length)
+def multiplex(signals: Iterable[SampledSignal]) -> SampledSignal:
+    """Samplewise sum of the given signals, zero-padded to the longest.
+
+    `signals` may be any iterable, a lazy one included: each signal is
+    added as it arrives into a zero buffer that grows to the longest so
+    far, so a generator's signals need never be held at once.  The sum runs
+    in iteration order from zero, as a sum into a buffer of the final
+    length would, and gives the same bits, signed zeros included.
+    """
+    out, fs = None, None
     for s in signals:
+        if out is None:
+            out, fs = np.zeros(len(s)), s.fs
+        elif s.fs != fs:
+            raise ValueError("cannot multiplex signals with different sample rates")
+        elif len(s) > out.size:
+            out = np.concatenate((out, np.zeros(len(s) - out.size)))
         out[: len(s)] += s.samples
+    if out is None:
+        raise ValueError("nothing to multiplex")
     return SampledSignal(out, fs)
 
 
@@ -225,9 +234,18 @@ def design_slope_filter(
     An all-pole response has no zeros to level off with, so it tracks a
     fractional slope as a staircase of gentle resonances; expect a maximum
     deviation around 1 dB at the default order over the default band.
+
+    Only flat and falling slopes (db_per_octave <= 0) are designed.  A
+    rising slope is out of reach for an all-pole filter (+3 and +6 dB/octave
+    miss by 4.4 to 12 dB), so a positive db_per_octave raises ValueError.
     """
     import scipy.optimize  # here, not at the top: only the design needs it
 
+    if db_per_octave > 0:
+        raise ValueError(
+            f"db_per_octave must be <= 0, got {db_per_octave}: an all-pole "
+            "filter cannot follow a rising slope"
+        )
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < f_lo < f_hi < fs / 2:

@@ -114,21 +114,22 @@ def _polynomial(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(x)
     term = np.ones_like(x)
     for c in coeffs:
-        term = term * x
+        term *= x
         acc += c * term
     return acc
 
 
 def apply_drift(signal: SampledSignal, drift: DriftSpec) -> SampledSignal:
     """Resample through the drifted clock (length preserved)."""
-    n = len(signal)
-    t = np.arange(n, dtype=np.float64)
+    positions = np.arange(len(signal), dtype=np.float64)  # t, made positions in place
     if drift.kind == "linear":
-        positions = t * (1.0 + drift.ppm * 1e-6)
+        positions *= 1.0 + drift.ppm * 1e-6
     else:
-        positions = t + drift.depth_s * signal.fs * np.sin(
-            2.0 * np.pi * drift.rate_hz * t / signal.fs
-        )
+        wobble = 2.0 * np.pi * drift.rate_hz * positions
+        wobble /= signal.fs
+        np.sin(wobble, out=wobble)
+        wobble *= drift.depth_s * signal.fs
+        positions += wobble
     return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)
 
 
@@ -154,9 +155,10 @@ def simulate(
     )
     acc = np.zeros(length)
     for s, fir in zip(inputs, target.paths):
-        driven = _polynomial(s.samples, target.nonlinearity)
-        out = fftconvolve(driven, fir)
-        acc[: out.size] += out
+        # no names for the path's buffers, so none outlives its sum
+        acc[: len(s) + fir.size - 1] += fftconvolve(
+            _polynomial(s.samples, target.nonlinearity), fir
+        )
     captured = SampledSignal(acc, fs)
     if target.drift is not None:
         captured = apply_drift(captured, target.drift)
@@ -164,8 +166,9 @@ def simulate(
         noise = _generate_noise(
             captured.samples.size, fs, target.noise, np.random.default_rng(seed)
         )
-        level = captured.rms() * 10.0 ** (target.noise.level_db / 20.0)
-        captured = SampledSignal(captured.samples + level * noise, fs)
+        noise *= captured.rms() * 10.0 ** (target.noise.level_db / 20.0)
+        noise += captured.samples
+        captured = SampledSignal(noise, fs)
     return captured
 
 

@@ -413,7 +413,7 @@ def test_sample_rate_beyond_the_wav_header_is_refused_before_synthesis(
         cfg.write_text(json.dumps({"fs": 2000000000}))
         argv += ["--config", cfg]
     check_one_error_line(capsys, [*argv, "--out-dir", out], "fs", "1073741823")
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["measure", "align"])
@@ -609,7 +609,28 @@ def test_manifest_pulse_longer_than_the_emission_is_a_validation_error(
 
 def test_oversized_code_count_is_rejected_before_any_work(tmp_path):
     assert generate(tmp_path / "gen", codes=10**9) == 1
-    assert not list((tmp_path / "gen").iterdir())
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        # 2 codes need 8 + 4 periods; the plan is checked as channel 0 is built,
+        # after the pulses are synthesized
+        ({"codes": 2, "reps": 11}, ["11 repetitions", "12"]),
+        ({"sigma_t": 1e300}, ["sigma_t", "fs"]),
+    ],
+    ids=["plan", "pulse"],
+)
+def test_refused_generate_creates_no_output_directory(tmp_path, capsys, flags, names):
+    """The directory is made only after the last refusal.  The code-count
+    and sample-rate refusals are checked the same way by their own tests."""
+    out = tmp_path / "gen"
+    argv = ["generate", "--out-dir", out]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    check_one_error_line(capsys, argv, *names)
+    assert not out.exists()
 
 
 def test_no_subcommand_prints_help_and_fails():

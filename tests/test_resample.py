@@ -4,7 +4,13 @@ import scipy.fft
 import scipy.signal
 
 from fvnlab import resample
-from fvnlab.resample import HALF_TAPS, fftconvolve, resample_at, upsample2
+from fvnlab.resample import (
+    HALF_TAPS,
+    fftconvolve,
+    resample_at,
+    resample_oversampled,
+    upsample2,
+)
 
 _CHUNK = 1 << 16  # einsum_resample_at's chunk
 
@@ -48,6 +54,85 @@ def einsum_resample_at(
         gathered = x[np.clip(idx, 0, x.size - 1)]
         out[lo : lo + _CHUNK] = np.einsum("ij,ij->i", gathered, sinc * hann * valid)
     return out
+
+
+def padded_resample_at(
+    x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS
+) -> np.ndarray:
+    """Reference: resample_at as it was while it gathered from a copy of x
+    with a zero at each end."""
+    taps = np.arange(-half_taps + 1, half_taps + 1)
+    sign = np.where(taps % 2 == 0, 1.0, -1.0)
+    cos_n = sign * np.cos(np.pi * taps / half_taps)
+    sin_n = sign * np.sin(np.pi * taps / half_taps)
+    padded = np.concatenate(([0.0], x, [0.0]))
+    out = np.empty(positions.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, positions.size, resample._CHUNK):
+            pos = positions[lo : lo + resample._CHUNK]
+            base = np.floor(pos)
+            frac = pos - base
+            up = frac > 1.0 - 1e-15
+            base[up] += 1.0
+            frac[up | (frac < 1e-15)] = 0.0
+            idx = np.clip(base, -half_taps - 1, x.size + half_taps).astype(np.int64)
+            idx += 2 - half_taps
+            a = np.sin(np.pi * np.minimum(frac, 1.0 - frac)) / (2.0 * np.pi)
+            c = a * np.cos(np.pi * frac / half_taps)
+            d = a * np.sin(np.pi * frac / half_taps)
+            minus_a = -a
+            acc = np.zeros(pos.size)
+            w, tmp = np.empty((2, pos.size))
+            for j, k in enumerate(taps):
+                np.multiply(c, cos_n[j], out=w)
+                w += a if sign[j] > 0 else minus_a
+                np.multiply(d, sin_n[j], out=tmp)
+                w += tmp
+                np.subtract(frac, k, out=tmp)
+                w /= tmp
+                np.take(padded, idx, out=tmp, mode="clip")
+                w *= tmp
+                acc += w
+                idx += 1
+            on_grid = frac == 0.0
+            acc[on_grid] = np.take(padded, idx[on_grid] - half_taps - 1, mode="clip")
+            out[lo : lo + resample._CHUNK] = acc
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+@pytest.mark.parametrize("half_taps", [1, 3, 32])
+def test_matches_the_zero_padded_reference_bit_for_bit(n, half_taps):
+    """The first chunk stays clear of both ends, so only the later chunks
+    zero the taps off the signal.  Those hold positions before 0, past the
+    end and far outside, on the grid (0, n - 1, and outside) and -1e-20; x
+    has negative samples, whose product with an off-signal zero tap would
+    be -0.0."""
+    rng = np.random.default_rng(n + half_taps)
+    x = rng.standard_normal(n)
+    inner = np.empty(0)
+    if n > 2 * half_taps + 1:
+        inner = rng.uniform(half_taps, n - 1 - half_taps, resample._CHUNK)
+    edges = np.array(
+        [-0.5, -3.7, -half_taps - 0.25, -40.0, -3.0, -1e-20, 0.0, n - 1.0,
+         n - 0.5, n + 2.0, n + 3.7, n + half_taps + 0.5, -1e9, 1e9, 1e300, -1e300]
+    )
+    spread = rng.uniform(-2.0 * half_taps, n + 2.0 * half_taps, resample._CHUNK)
+    spread[:100] = np.round(spread[:100])
+    positions = np.concatenate([inner, edges, spread])
+    got = resample_at(x, positions, half_taps)
+    assert got.tobytes() == padded_resample_at(x, positions, half_taps).tobytes()
+
+
+def test_resample_oversampled_holds_few_record_lengths(traced_peak):
+    """A 2x upsampled copy (16 B/sample), the doubled positions and the
+    output (8 B/sample each) and transients; a whole-record padded copy of
+    the upsampled signal or an out-of-place scaling would add 16 B/sample."""
+    n = 1_000_000
+    x = np.random.default_rng(5).standard_normal(n)
+    positions = np.arange(n) * (1.0 + 20e-6)
+    _, peak = traced_peak(resample_oversampled, x, positions)
+    assert peak / n <= 40.0
 
 
 @pytest.mark.parametrize("half_taps", [1, 3, 32])

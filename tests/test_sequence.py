@@ -102,9 +102,38 @@ def test_multiplex_rejects_empty_and_mixed_rates():
     with pytest.raises(ValueError):
         multiplex([])
     with pytest.raises(ValueError):
+        multiplex(iter([]))
+    with pytest.raises(ValueError):
         multiplex(
             [SampledSignal(np.ones(4), 44100.0), SampledSignal(np.ones(4), 48000.0)]
         )
+
+
+def test_multiplex_growing_sum_matches_the_final_length_sum_bit_for_bit():
+    """Signals that get longer, shorter and longer again, with signed zeros
+    and values whose sum depends on the order, against a sum in iteration
+    order into a zero buffer of the final length."""
+    rng = np.random.default_rng(7)
+    signals = []
+    for size in (3, 7, 2, 11, 11, 5):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-17, 17, size)
+        x[::3] = -0.0
+        signals.append(SampledSignal(x, FS))
+    expected = np.zeros(11)
+    for s in signals:
+        expected[: len(s)] += s.samples
+    assert multiplex(iter(signals)).samples.tobytes() == expected.tobytes()
+    assert multiplex(signals).samples.tobytes() == expected.tobytes()
+
+
+def test_multiplex_of_a_generator_holds_few_signals_at_once(traced_peak):
+    """Eight signals of 10^6 samples: the sum, the signal being added and the
+    next one being made; a list of all eight and the sum would be nine."""
+    n = 1_000_000
+    signals = (SampledSignal(np.full(n, i + 1.0), FS) for i in range(8))
+    mixed, peak = traced_peak(multiplex, signals)
+    assert peak <= 4 * 8 * n
+    assert np.array_equal(mixed.samples, np.full(n, 36.0))
 
 
 def test_multiplexed_power_is_near_the_sum_of_powers():
@@ -184,6 +213,13 @@ def test_design_validation():
         design_slope_filter(-3.0, FS, order=0)
     with pytest.raises(ValueError):
         design_slope_filter(-3.0, FS, f_lo=0.0)
+
+
+@pytest.mark.parametrize("db_per_octave", [0.5, 3.0, 6.0])
+def test_rising_slopes_are_refused(db_per_octave):
+    """An all-pole fit misses +3 and +6 dB/octave by 4.4 to 12 dB."""
+    with pytest.raises(ValueError, match=f"got {db_per_octave}"):
+        design_slope_filter(db_per_octave, FS)
 
 
 def freqz_db(a, freqs, fs):
