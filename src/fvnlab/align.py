@@ -79,9 +79,20 @@ class WarpMap:
         return self.t_da - self.t_ad
 
     def linear_fit(self) -> tuple[float, float]:
-        """(slope, intercept) of t_da as a function of t_ad."""
-        slope, intercept = np.polyfit(self.t_ad, self.t_da, 1)
-        return float(slope), float(intercept)
+        """(slope, intercept) of t_da as a function of t_ad.
+
+        Least squares in closed form on the centred t_ad and the centred
+        deviation, whose small scale keeps the intercept from cancelling;
+        it holds two arrays of the map's length, where np.polyfit holds
+        about five.
+        """
+        t_mean = self.t_ad.mean()
+        centred = self.t_ad - t_mean
+        dev = self.deviation()
+        dev_mean = dev.mean()
+        dev -= dev_mean
+        tilt = np.dot(centred, dev) / np.dot(centred, centred)
+        return float(1.0 + tilt), float(dev_mean - tilt * t_mean)
 
     def extended(self, t_lo: float, t_hi: float) -> "WarpMap":
         """Extrapolate linearly (from the end segments) to cover [t_lo, t_hi]."""
@@ -131,10 +142,10 @@ def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajector
     """Track the unwrapped fundamental phase of a recording.
 
     The recording is convolved with the probe (group delay compensated),
-    probe-length edges are discarded, and the instantaneous frequency is
-    integrated (trapezoid) into a phase trajectory.  Where the probe loses
-    the line (digital silence), only the longest run that keeps it is
-    tracked, less one probe length wherever it borders the loss.  The
+    probe-length edges are discarded, and the exact phase advance over
+    each sample interval is summed into a phase trajectory.  Where the
+    probe loses the line (digital silence), only the longest run that keeps
+    it is tracked, less one probe length wherever it borders the loss.  The
     integration constant is the analytic phase angle at the strongest
     sample, with the whole-cycle count chosen closest to the nominal phase
     2 pi f_o t; this pins the absolute phase as long as the initial offset

@@ -22,6 +22,7 @@ import numpy as np
 from . import fileio, selftest
 from .align import apply_warp, build_probe, build_warp_map, track_phase
 from .codes import build_code_matrix
+from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
 from .sequence import ShapingFilter, coded_channels, inverse_shape, multiplex
 from .signal import SampledSignal
@@ -57,6 +58,11 @@ _NOISE_KEYS = {"kind": "a string", "level_db": _NUMBER}
 _DRIFT_KEYS = {
     "kind": "a string", "ppm": _NUMBER, "depth_s": _NUMBER, "rate_hz": _NUMBER,
 }
+# Widest full-band range of gain a shaping filter may span.  measure undoes
+# the shaping of float32 WAV samples, which multiplies their rounding by |A|:
+# at 90 dB, two poles at DC or at Nyquist and a 100 Hz resonance return white
+# noise with a relative error up to 3.4e-5, growing about twofold per 10 dB.
+MAX_SHAPE_RANGE_DB = 90.0
 # bool is an int subclass; NaN, infinities and ints beyond float range fail
 # the bound on abs(v).
 _IS_KIND = {
@@ -177,20 +183,38 @@ def _channels_from_manifest(manifest: dict, codes: np.ndarray | None = None) -> 
     np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
     """Code matrix (built from the manifest unless given), shaping filter,
-    unit pulses and lazily emitted signals."""
+    unit pulses and lazily emitted signals.  A filter whose range breaks the
+    float32 round trip and a plan too long for a WAV file are refused before
+    anything is synthesized."""
     codes = build_code_matrix(int(manifest["codes"])) if codes is None else codes
+    sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
+    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
     filt = None
     if manifest.get("shape"):
         filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
+        span = filt.range_db(fs)
+        if span > MAX_SHAPE_RANGE_DB:
+            raise ValueError(
+                f"shape: the filter's gain spans {span:.1f} dB over 0..fs/2, more "
+                f"than the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 round trip survives"
+            )
+    period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
+    length = period * reps + max(0, pulse - period)
+    # coded_channels refuses a pulse longer than period_no x repetitions
+    if pulse <= period * reps and length > fileio.MAX_WAV_SAMPLES:
+        raise ValueError(
+            f"period_no x repetitions plus the pulse tail is {length} samples, "
+            f"more than the {fileio.MAX_WAV_SAMPLES} a WAV file holds"
+        )
     channels = manifest["channels"]
     units, emitted = coded_channels(
-        float(manifest["sigma_t"]),
-        float(manifest["fs"]),
+        sigma_t,
+        fs,
         [int(channel["seed"]) for channel in channels],
         [int(channel["code_row"]) for channel in channels],
         codes,
-        int(manifest["period_no"]),
-        int(manifest["repetitions"]),
+        period,
+        reps,
         filt,
     )
     return codes, filt, units, emitted

@@ -1,12 +1,12 @@
 """Orthogonal binary codes for multiplexed measurements.
 
-The matrix for k_codes sequences is a k_codes x n int64 array of +-1 with
-length n = 2 ** (k_codes + 1).  Row 0 is all ones; row k (k >= 1)
-alternates blocks of +1 then -1 of length 2 ** (k - 1).  Distinct rows are
-exactly orthogonal in integer arithmetic, and every row other than row 0
-sums to zero.  Emitter and receiver share two rules from here: row_of
-says which row indices exist, and averaging_block which periods of a plan
-the receiver averages, which the emitter checks its plan against.
+The matrix for k_codes sequences is a k_codes x n int64 array of +-1, one
+period n = 2 ** max(k_codes - 1, 0) of its longest row.  Row 0 is all
+ones; row k (k >= 1) alternates blocks of +1 then -1 of length 2 ** (k - 1).
+Distinct rows are exactly orthogonal in integer arithmetic, and every row
+other than row 0 sums to zero.  Emitter and receiver share two rules from
+here: row_of says which row indices exist, and averaging_block which
+periods of a plan the receiver averages and the emitter checks plans by.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ def build_code_matrix(k_codes: int) -> np.ndarray:
     """Build the orthogonal code matrix for k_codes sequences."""
     if not 1 <= k_codes <= 16:
         raise ValueError(f"k_codes must be in 1..16, got {k_codes}")
-    n = 2 ** (k_codes + 1)
+    n = 2 ** max(k_codes - 1, 0)
     rows = [np.ones(n, dtype=np.int64)]
     for k in range(1, k_codes):
         block = 2 ** (k - 1)

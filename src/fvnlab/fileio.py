@@ -22,6 +22,8 @@ from .signal import SampledSignal
 _WAV_DTYPES = {(1, 16): "<i2", (1, 32): "<i4", (3, 32): "<f4", (3, 64): "<f8"}
 # highest sample rate whose byte rate 4 * fs fits the header's 32-bit field
 MAX_WAV_RATE = (2**32 - 1) // 4
+# most float32 samples whose RIFF size field 50 + 4 n fits 32 bits
+MAX_WAV_SAMPLES = (2**32 - 1 - 50) // 4
 # WAVE_FORMAT_EXTENSIBLE sub-format GUID after its leading format tag (RFC 2361)
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
@@ -35,6 +37,11 @@ def write_wav(path: str | Path, signal: SampledSignal) -> None:
     if rate > MAX_WAV_RATE:
         raise ValueError(
             f"{path}: sample rate {rate} Hz exceeds the WAV limit of {MAX_WAV_RATE} Hz"
+        )
+    if signal.samples.size > MAX_WAV_SAMPLES:
+        raise ValueError(
+            f"{path}: {signal.samples.size} samples exceed the WAV limit of "
+            f"{MAX_WAV_SAMPLES}"
         )
     data = signal.samples.astype("<f4")
     header = struct.pack(
@@ -128,11 +135,9 @@ def write_spectrum_csv(
             writer.writerow([f"{f:.6f}", f"{level:.6f}"])
 
 
-def write_warp_csv(
-    path: str | Path, t_ad: np.ndarray, t_da: np.ndarray, decimate: int = 1
-) -> None:
+def write_warp_csv(path: str | Path, t_ad: np.ndarray, t_da: np.ndarray) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t_ad_s", "t_da_s"])
-        for a, d in zip(t_ad[::decimate], t_da[::decimate]):
+        for a, d in zip(t_ad, t_da):
             writer.writerow([f"{a:.9f}", f"{d:.9f}"])

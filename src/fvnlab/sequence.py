@@ -75,6 +75,11 @@ class ShapingFilter:
         """Magnitude of 1 / A at the given frequencies, in dB."""
         return _all_pole_db(self.a, freqs, fs)
 
+    def range_db(self, fs: float) -> float:
+        """Full-band range of gain: max - min of magnitude_db over [0, fs/2]."""
+        level = self.magnitude_db(np.linspace(0.0, fs / 2, 2**14 + 1), fs)
+        return float(level.max() - level.min())
+
 
 def assemble_sequence(
     unit: SampledSignal,

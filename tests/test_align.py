@@ -6,6 +6,7 @@ have exactly known trajectories.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,42 @@ def test_warp_slope_synthetic_trajectories_are_exact():
     measured = PhaseTrajectory(t, 2.0 * np.pi * 20.0 * (1 + eps) * t)
     slope, _ = build_warp_map(reference, measured).linear_fit()
     assert abs(slope - (1.0 + eps)) < 1e-12
+
+
+def drifted_warp_map(n, step=1):
+    """A map as align builds one: a point every `step` samples from 0.5 s
+    on, 20 ppm of drift, a 1 ms offset and a slow 0.1 us wobble."""
+    t_ad = (np.arange(n) * step + 0.5 * FS) / FS
+    t_da = t_ad * (1.0 + 20e-6) - 1e-3 + 1e-7 * np.sin(np.pi * t_ad)
+    return WarpMap(t_ad, t_da)
+
+
+def test_linear_fit_matches_polyfit_and_the_exact_line():
+    """On 20 000 points (22.7 s), as many as warp.csv keeps.  The exact
+    least-squares line comes from rational arithmetic; np.polyfit's own
+    intercept is ~4e-13 off it here."""
+    warp = drifted_warp_map(20_000, step=50)
+    slope, intercept = warp.linear_fit()
+    want_slope, want_intercept = np.polyfit(warp.t_ad, warp.t_da, 1)
+    assert abs(slope - want_slope) <= 1e-12 * abs(want_slope)
+    assert abs(intercept - want_intercept) <= 1e-12 * abs(want_intercept)
+    x = [Fraction(v) for v in warp.t_ad.tolist()]
+    y = [Fraction(v) for v in warp.t_da.tolist()]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    exact = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) / sum(
+        (a - x_mean) ** 2 for a in x
+    )
+    exact_intercept = float(y_mean - exact * x_mean)
+    assert abs(slope - float(exact)) <= 1e-15 * float(exact)
+    assert abs(intercept - exact_intercept) <= 1e-15 * abs(exact_intercept)
+
+
+def test_linear_fit_holds_few_map_lengths(traced_peak):
+    """Two map-length arrays (16 B/point); np.polyfit's Vandermonde matrix
+    and least-squares copies held about five."""
+    warp = drifted_warp_map(1_000_000)
+    _, peak = traced_peak(warp.linear_fit)
+    assert peak / warp.t_ad.size <= 24.0
 
 
 def test_nonmonotone_trajectory_is_rejected():

@@ -22,14 +22,18 @@ from fvnlab import (
     build_code_matrix,
     center_pulse,
     design_slope_filter,
+    fileio,
     fvn,
+    inverse_shape,
     selftest,
     sequence,
     shape_spectrum,
     synthesize_unit_fvn,
 )
-from fvnlab.cli import main
+from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
 from fvnlab.fileio import read_filter, read_json, read_wav, write_filter, write_wav
+
+FS = 44100.0
 
 
 def run(*argv):
@@ -468,7 +472,7 @@ class BlockScipy:
             raise ImportError(f"{name} is blocked")
 
 sys.meta_path.insert(0, BlockScipy())
-from fvnlab.cli import main
+from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
 
 gen, sim, ali, meas, ana = sys.argv[1:]
 steps = [
@@ -615,9 +619,9 @@ def test_oversized_code_count_is_rejected_before_any_work(tmp_path):
 @pytest.mark.parametrize(
     "flags, names",
     [
-        # 2 codes need 8 + 4 periods; the plan is checked as channel 0 is built,
+        # 2 codes need 2 + 4 periods; the plan is checked as channel 0 is built,
         # after the pulses are synthesized
-        ({"codes": 2, "reps": 11}, ["11 repetitions", "12"]),
+        ({"codes": 2, "reps": 5}, ["5 repetitions", "6"]),
         ({"sigma_t": 1e300}, ["sigma_t", "fs"]),
     ],
     ids=["plan", "pulse"],
@@ -631,6 +635,91 @@ def test_refused_generate_creates_no_output_directory(tmp_path, capsys, flags, n
         argv += ["--" + key.replace("_", "-"), value]
     check_one_error_line(capsys, argv, *names)
     assert not out.exists()
+
+
+def refuse_assembly(*args, **kwargs):
+    raise AssertionError("a channel was assembled")
+
+
+def test_plan_beyond_a_wav_file_is_refused_before_assembly(
+    tmp_path, capsys, monkeypatch
+):
+    """2^20 samples x 2^10 periods is 13 samples more than a WAV file holds."""
+    monkeypatch.setattr(sequence, "assemble_sequence", refuse_assembly)
+    out = tmp_path / "gen"
+    argv = ["generate", "--period-no", 2**20, "--reps", 2**10, "--out-dir", out]
+    check_one_error_line(capsys, argv, "period_no", "repetitions", "1073741811")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "measure", "align"])
+def test_wav_limit_counts_the_pulse_tail(tmp_path, capsys, monkeypatch, command):
+    """12 periods of 1000 samples and a 4096-sample pulse emit 15096
+    samples; with the limit lowered to that, every command accepts the
+    plan, and one sample lower each refuses it before assembly."""
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    monkeypatch.setattr(fileio, "MAX_WAV_SAMPLES", 15096)
+    assert generate(gen, sigma_t=0.005, period_no=1000, reps=12, codes=2) == 0
+    assert len(read_wav(gen / "multiplexed.wav")) == 15096
+    monkeypatch.setattr(fileio, "MAX_WAV_SAMPLES", 15095)
+    monkeypatch.setattr(sequence, "assemble_sequence", refuse_assembly)
+    if command == "generate":
+        argv = ["generate", "--sigma-t", 0.005, "--period-no", 1000, "--reps", 12]
+    else:
+        argv = [command, gen / "multiplexed.wav", gen]
+    check_one_error_line(capsys, [*argv, "--out-dir", out], "15096", "15095")
+    assert not out.exists()
+
+
+def two_poles(r):
+    return np.poly([r, r])[1:].tolist()
+
+
+@pytest.mark.parametrize("command", ["generate", "measure", "align"])
+def test_shape_beyond_the_float32_range_is_refused(tmp_path, capsys, command):
+    """Two poles at 0.995 span 104 dB, past the 90 dB the float32 files of
+    a shaped run survive."""
+    gen, out, shape = tmp_path / "gen", tmp_path / "out", tmp_path / "shape.json"
+    shape.write_text(json.dumps(two_poles(0.995)))
+    if command == "generate":
+        argv = ["generate", "--shape", shape, "--sigma-t", 0.005, "--period-no", 4410]
+    else:
+        assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+        manifest = read_json(gen / "manifest.json")
+        manifest["shape"] = two_poles(0.995)
+        (gen / "manifest.json").write_text(json.dumps(manifest))
+        argv = [command, gen / "channel_0.wav", gen]
+    names = ["shape", "104.0 dB", "90 dB"]
+    check_one_error_line(capsys, [*argv, "--out-dir", out], *names)
+    assert not out.exists()
+
+
+def filter_at_the_range_limit(kind):
+    """Two poles at +-r or a 100 Hz resonance of radius r, with r chosen so
+    that the full-band range is MAX_SHAPE_RANGE_DB."""
+    if kind == "resonance":
+        c, lo, hi = np.cos(2 * np.pi * 100.0 / FS), 0.9, 1.0
+        for _ in range(60):  # bisection: the range grows with r
+            r = (lo + hi) / 2
+            filt = ShapingFilter(np.array([-2 * r * c, r * r]))
+            lo, hi = (r, hi) if filt.range_db(FS) < MAX_SHAPE_RANGE_DB else (lo, r)
+        return filt
+    q = 10 ** (MAX_SHAPE_RANGE_DB / 40)  # (1 + r) / (1 - r) per pole, DC over Nyquist
+    r = (q - 1) / (q + 1)
+    return ShapingFilter(np.poly([r if kind == "dc" else -r] * 2)[1:])
+
+
+@pytest.mark.parametrize("kind", ["dc", "nyquist", "resonance"])
+def test_filters_at_the_range_limit_survive_float32(kind):
+    """The limit generate, align and measure enforce keeps the float32 round
+    trip of these steep shapes within 5e-5; 10 dB more range would not."""
+    filt = filter_at_the_range_limit(kind)
+    assert filt.range_db(FS) == pytest.approx(MAX_SHAPE_RANGE_DB, abs=0.01)
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(20000)
+        shaped = shape_spectrum(SampledSignal(x, FS), filt).samples.astype(np.float32)
+        back = inverse_shape(SampledSignal(shaped.astype(np.float64), FS), filt)
+        assert np.linalg.norm(back.samples - x) / np.linalg.norm(x) < 5e-5
 
 
 def test_no_subcommand_prints_help_and_fails():

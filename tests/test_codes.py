@@ -7,8 +7,8 @@ from fvnlab import build_code_matrix, verify_orthogonality
 def test_matrix_shape_and_entries():
     codes = build_code_matrix(3)
     assert len(codes) == 3
-    assert codes.shape[1] == 16
-    assert codes.shape == (3, 16)
+    assert codes.shape[1] == 4
+    assert codes.shape == (3, 4)
     assert codes.dtype == np.int64
     assert set(np.unique(codes)) <= {-1.0, 1.0}
 
@@ -20,11 +20,9 @@ def test_row_zero_is_all_ones():
 
 def test_row_k_has_blocks_of_half_period():
     codes = build_code_matrix(3)
-    # row 1: period 16 in blocks of 1, row 2: blocks of 2
-    np.testing.assert_array_equal(codes[1], (-1.0) ** np.arange(16))
-    np.testing.assert_array_equal(
-        codes[2], np.repeat([1.0, -1.0], 2).tolist() * 4
-    )
+    # one period 4 of the longest row: row 1 in blocks of 1, row 2 of 2
+    np.testing.assert_array_equal(codes[1], (-1.0) ** np.arange(4))
+    np.testing.assert_array_equal(codes[2], np.repeat([1.0, -1.0], 2))
 
 
 def test_rows_above_zero_sum_to_zero():
@@ -35,8 +33,9 @@ def test_rows_above_zero_sum_to_zero():
 
 
 def test_gram_matrix_is_exactly_scaled_identity():
-    for k in range(1, 9):
+    for k in range(1, 17):
         codes = build_code_matrix(k)
+        assert codes.shape == (k, 2 ** max(k - 1, 0))  # one period of the rows
         gram = codes @ codes.T
         assert np.array_equal(gram, codes.shape[1] * np.eye(k))
         assert verify_orthogonality(codes)

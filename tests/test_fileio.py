@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from fvnlab import SampledSignal, ShapingFilter
+from fvnlab import SampledSignal, ShapingFilter, fileio
 from fvnlab.fileio import (
     MAX_WAV_RATE,
     read_filter,
@@ -46,6 +46,20 @@ def test_wav_sample_rate_is_bounded_by_the_header(tmp_path):
     over = tmp_path / "over.wav"
     with pytest.raises(ValueError, match=f"{over}.*{MAX_WAV_RATE}"):
         write_wav(over, SampledSignal(np.zeros(10), MAX_WAV_RATE + 1.0))
+    assert not over.exists()
+
+
+def test_wav_sample_count_is_bounded_by_the_riff_size_field(tmp_path, monkeypatch):
+    """The RIFF size field holds 50 + 4 n in 32 bits.  The limit is lowered
+    here so that no test signal needs gigabytes."""
+    assert fileio.MAX_WAV_SAMPLES == 1_073_741_811
+    monkeypatch.setattr(fileio, "MAX_WAV_SAMPLES", 5)
+    top = tmp_path / "top.wav"
+    write_wav(top, SampledSignal(np.zeros(5), 44100.0))
+    assert len(read_wav(top)) == 5
+    over = tmp_path / "over.wav"
+    with pytest.raises(ValueError, match=f"{over}: 6 samples .* 5"):
+        write_wav(over, SampledSignal(np.zeros(6), 44100.0))
     assert not over.exists()
 
 
@@ -181,14 +195,15 @@ def test_spectrum_csv_layout(tmp_path):
     assert float(rows[2][1]) == -6.25
 
 
-def test_warp_csv_decimation(tmp_path):
+def test_warp_csv_writes_a_header_and_every_pair(tmp_path):
     f = tmp_path / "warp.csv"
-    t = np.linspace(0.0, 1.0, 100)
-    write_warp_csv(f, t, 1.0001 * t, decimate=10)
+    t = np.linspace(0.0, 1.0, 11)
+    write_warp_csv(f, t, 1.0001 * t)
     rows = list(csv.reader(f.open()))
     assert rows[0] == ["t_ad_s", "t_da_s"]
-    assert len(rows) == 11  # header plus every tenth point
-    assert float(rows[1][0]) == 0.0
+    assert len(rows) == 12  # header plus one row per pair
+    assert rows[1] == ["0.000000000", "0.000000000"]
+    assert rows[-1] == ["1.000000000", "1.000100000"]
 
 
 def test_report_is_valid_json(tmp_path):

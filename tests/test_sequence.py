@@ -17,6 +17,7 @@ from fvnlab import (
     synthesize_unit_fvn,
 )
 from fvnlab import sequence
+from fvnlab.cli import MAX_SHAPE_RANGE_DB
 
 FS = 44100.0
 
@@ -56,13 +57,13 @@ def test_assembly_energy_with_disjoint_periods():
 
 
 def test_too_few_repetitions_rejected():
-    codes = build_code_matrix(2)  # code length 8, so 12 is the minimum
+    codes = build_code_matrix(2)  # code length 2, so 6 is the minimum
     unit = center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t=0.005)))
     with pytest.raises(ValueError):
-        assemble_sequence(unit, codes, 0, period_no=1000, repetitions=11)
+        assemble_sequence(unit, codes, 0, period_no=1000, repetitions=5)
 
 
-@pytest.mark.parametrize("k_codes", [1, 2, 3, 4])
+@pytest.mark.parametrize("k_codes", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_emitter_and_receiver_share_one_averaging_rule(k_codes):
     """The emitter takes exactly n + 4 repetitions (one code period plus two
     guard periods at each end) and refuses n + 3, naming both counts; the
@@ -169,6 +170,7 @@ def test_shaping_roundtrip_survives_float32(db_per_octave):
     back = inverse_shape(SampledSignal(shaped.astype(np.float64), FS), filt)
     err = np.linalg.norm(back.samples - x.samples) / np.linalg.norm(x.samples)
     assert err < 1e-5
+    assert filt.range_db(FS) < MAX_SHAPE_RANGE_DB  # generate accepts it
     # the designed response levels off outside [f_lo, f_hi], as documented
     edges = np.array([0.0, 50.0, 10000.0, FS / 2])
     dc, lo, hi, nyquist = filt.magnitude_db(edges, FS)
