@@ -8,11 +8,13 @@ whole chain.
 
 from .align import (
     AnalyticProbe,
+    BlockDelays,
     PhaseTrajectory,
     WarpMap,
     apply_warp,
     build_probe,
     build_warp_map,
+    track_block_delays,
     track_phase,
 )
 from .codes import build_code_matrix, verify_orthogonality
@@ -54,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticProbe",
+    "BlockDelays",
     "DriftSpec",
     "FvnSpec",
     "MeasurementResult",
@@ -89,6 +92,7 @@ __all__ = [
     "synchronized_average",
     "synthesize_unit_fvn",
     "third_octave_smooth",
+    "track_block_delays",
     "track_phase",
     "verify_orthogonality",
 ]

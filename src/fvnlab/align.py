@@ -1,11 +1,18 @@
-"""Clock-drift estimation and correction via fundamental-phase tracking.
+"""Clock-drift estimation and correction.
 
-The repetition rate of a measurement signal puts a strong line at
-f_o = fs / period_no.  A complex probe selects that line, its instantaneous
-frequency integrates to a phase trajectory, and matching the trajectory of
-a recording against the trajectory of the reference signal gives the time
-warp between the playback (DA) and capture (AD) clocks.  Resampling the
-recording through the warp puts both on a common clock.
+The emitted reference and a recording of it run on independent playback
+(DA) and capture (AD) clocks.  track_block_delays, which `fvnlab align`
+uses, reads the delay of each block of the reference inside the recording
+from their cross-spectrum (generalized cross-correlation, Knapp & Carter
+1976) and fits a line through those delays; it holds block-sized buffers
+only.  Resampling the recording through the warp puts both on a common
+clock.
+
+Fundamental-phase tracking is the paper's method and is kept for selftest
+criterion 09: the repetition rate puts a strong line at f_o = fs /
+period_no, a complex probe selects that line, its instantaneous frequency
+integrates to a phase trajectory, and matching the trajectory of a
+recording against the trajectory of the reference gives the time warp.
 """
 
 from __future__ import annotations
@@ -219,6 +226,142 @@ def build_warp_map(
         raise ValueError("phase trajectories do not overlap")
     t_da = np.interp(measured.phase[inside], reference.phase, reference.times)
     return WarpMap(measured.times[inside], t_da)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDelays:
+    """Delays of a reference's blocks inside a recording, in samples.
+
+    lags[b] is the recording position minus the reference position at the
+    centre of block b, NaN where the block holds no signal in band.  The
+    fitted line puts reference sample n at recording position
+    (1 + slope) n + intercept; used marks the lags it was fitted through
+    and residual_rms is their RMS distance from it.
+    """
+
+    centres: np.ndarray
+    lags: np.ndarray
+    used: np.ndarray
+    slope: float
+    intercept: float
+    residual_rms: float
+
+
+def _read_block(x: np.ndarray, start: int, size: int) -> np.ndarray:
+    """x[start : start + size], with zeros wherever that runs off x."""
+    out = np.zeros(size)
+    lo, hi = max(start, 0), min(start + size, x.size)
+    if hi > lo:
+        out[lo - start : hi - start] = x[lo:hi]
+    return out
+
+
+def _fit_lag_line(
+    centres: np.ndarray, lags: np.ndarray
+) -> tuple[float, float, np.ndarray, float]:
+    """(slope, intercept, used, residual RMS): a Theil-Sen line, then least
+    squares through the lags within 0.5 samples of it.  The Theil-Sen slope
+    is the median over the pairs of blocks half the record apart, so it
+    takes as many slopes as there are blocks, not their square."""
+    finite = np.isfinite(lags)
+    c, lag = centres[finite], lags[finite]
+    if c.size < 3:
+        raise ValueError(f"{c.size} block(s) hold signal in band; tracking needs 3")
+    half = c.size // 2
+    slope = np.median((lag[half:] - lag[:-half]) / (c[half:] - c[:-half]))
+    intercept = np.median(lag - slope * c)
+    used = finite.copy()
+    used[finite] = np.abs(lag - slope * c - intercept) <= 0.5
+    if np.count_nonzero(used) < 2:
+        raise ValueError("fewer than two block lags lie on one line")
+    c, lag = centres[used], lags[used]
+    c_mean, lag_mean = c.mean(), lag.mean()
+    c = c - c_mean
+    lag = lag - lag_mean
+    slope = np.dot(c, lag) / np.dot(c, c)
+    lag -= slope * c
+    rms = float(np.sqrt(np.mean(lag**2)))
+    return float(slope), float(lag_mean - slope * c_mean), used, rms
+
+
+def track_block_delays(
+    reference: SampledSignal, recorded: SampledSignal, period_no: int
+) -> BlockDelays:
+    """Delay of each block of 2 period_no reference samples in the recording.
+
+    Reference block b and the recording read from the same start plus an
+    integer lag k_b are Hann-weighted; C_b = conj(X_b) Y_b is their
+    cross-spectrum.  Multiplying by conj(C_mid), the middle block's, cancels
+    the room's phase: R_b = C_b conj(C_mid) is a non-negative spectrum times
+    exp(-2j pi f d), with d the block's delay beyond k_b counted from the
+    middle block's.  So the peak of R_b's inverse transform sits at
+    round(d), clear of room reflections, and the least-squares phase slope
+    of R_b exp(2j pi f round(d)) through the origin over 0.005-0.4
+    cycles/sample, weighted by its magnitude, gives the rest:
+    lag_b = k_b + round(d) - slope / 2 pi.  Only the middle block takes k_b
+    from the peak of |cross-correlation| (within +-period_no // 4); walking
+    outward from it, each block reads at the previous lag plus the last
+    step.  Reads past either end of a signal give zeros.  A line is fitted
+    through the lags (_fit_lag_line).  Buffers are block-sized.
+    """
+    if reference.fs != recorded.fs:
+        raise ValueError("sample rates of reference and recording differ")
+    if period_no < 1:
+        raise ValueError(f"period_no must be positive, got {period_no}")
+    x, y = reference.samples, recorded.samples
+    size = 2 * period_no
+    count = x.size // size
+    if count < 3:
+        raise ValueError(
+            f"the reference holds {count} block(s) of 2 x period_no samples; "
+            "tracking needs 3"
+        )
+    window = np.hanning(size)
+    freqs = np.fft.rfftfreq(size)
+    lo, hi = np.searchsorted(freqs, 0.005), np.searchsorted(freqs, 0.4, "right")
+    freqs = freqs[lo:hi]
+
+    def spectrum(signal: np.ndarray, start: int) -> np.ndarray:
+        block = _read_block(signal, start, size)
+        block *= window
+        return np.fft.rfft(block)[lo:hi]
+
+    def cross_spectrum(b: int, k: int) -> np.ndarray:
+        spec = np.conj(spectrum(x, b * size))
+        spec *= spectrum(y, b * size + k)
+        return spec
+
+    mid = count // 2
+    reach = period_no // 4
+    segment = _read_block(y, mid * size - reach, size + 2 * reach)
+    spec = np.fft.rfft(segment)
+    block = x[mid * size : (mid + 1) * size] * window
+    spec *= np.conj(np.fft.rfft(block, segment.size))
+    corr = np.fft.irfft(spec, segment.size)[: 2 * reach + 1]
+    k_mid = int(np.argmax(np.abs(corr))) - reach
+    mid_conj = np.conj(cross_spectrum(mid, k_mid))
+    lags = np.full(count, np.nan)
+    lags[mid] = k_mid
+    padded = np.zeros(size // 2 + 1, dtype=np.complex128)
+    for direction in (1, -1):
+        previous, step = float(k_mid), 0.0
+        for b in range(mid + direction, count if direction > 0 else -1, direction):
+            k = int(round(previous + step))
+            r = cross_spectrum(b, k)
+            r *= mid_conj
+            padded[lo:hi] = r
+            shift = int(np.argmax(np.fft.irfft(padded, size)))
+            shift -= size if shift > size // 2 else 0
+            r *= np.exp(2j * np.pi * shift * freqs)
+            weight = np.abs(r)
+            norm = np.dot(weight, freqs * freqs)
+            if norm > 0.0:
+                slope = np.dot(weight * np.angle(r), freqs) / norm
+                lags[b] = k + shift - slope / (2.0 * np.pi)
+                step, previous = lags[b] - previous, lags[b]
+    centres = np.arange(count) * float(size) + (size - 1) / 2.0
+    slope, intercept, used, rms = _fit_lag_line(centres, lags)
+    return BlockDelays(centres, lags, used, slope, intercept, rms)
 
 
 def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:

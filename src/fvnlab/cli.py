@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, selftest
-from .align import apply_warp, build_probe, build_warp_map, track_phase
+from .align import WarpMap, apply_warp, track_block_delays
 from .codes import build_code_matrix
 from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
@@ -362,42 +362,30 @@ def cmd_align(args) -> int:
     manifest, recorded = _read_recording(args)
     *_, emitted = _channels_from_manifest(manifest)
     reference = multiplex(emitted)
-    fs = recorded.fs
-    period = int(manifest["period_no"])
-    # Alternating code rows carry their energy at half-fundamental offsets,
-    # inside the standard probe's envelope mainlobe, which wobbles the
-    # tracked phase on short records.  A half-bandwidth probe puts its first
-    # null exactly on those sidebands but doubles the edge trims, so it is
-    # only picked when at least half the record survives them (roughly two
-    # dozen periods).
-    c_mag = 1.0
-    if len(manifest["channels"]) > 1:
-        narrow = build_probe(fs / period, 0.5, fs)
-        if min(len(recorded), len(reference)) >= 4 * narrow.half:
-            c_mag = 0.5
-    probe = build_probe(fs / period, c_mag, fs)
     try:
-        reference_phase = track_phase(reference, probe)
-        del reference  # only its trajectory is needed from here
-        warp = build_warp_map(reference_phase, track_phase(recorded, probe))
-        del reference_phase
+        delays = track_block_delays(reference, recorded, int(manifest["period_no"]))
+        # the intercept is left out, so the propagation delay stays in the IR
+        scale = 1.0 + delays.slope  # recording samples per reference sample
+        span = np.array([0.0, recorded.duration])
+        warp = WarpMap(scale * span, span)  # refuses a scale <= 0
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc
-    slope, intercept = warp.linear_fit()
-    # warp.csv holds every decimate-th pair; with those copied out, only the
-    # extended map is held while apply_warp makes its record-length buffers
-    decimate = max(1, warp.t_ad.size // 20000)
-    table = warp.t_ad[::decimate].copy(), warp.t_da[::decimate].copy()
-    margin = 4.0 * period / fs + 0.1
-    warp = warp.extended(-margin, recorded.duration + margin)
+    del reference  # apply_warp's buffers come next
     aligned = apply_warp(recorded, warp)
+    fs = recorded.fs
     out = _out_dir(args)
     fileio.write_wav(out / "aligned.wav", aligned)
-    fileio.write_warp_csv(out / "warp.csv", *table)
+    # one row per block: its centre on the capture and the playback clock
+    fileio.write_warp_csv(
+        out / "warp.csv", (delays.centres + delays.lags) / fs, delays.centres / fs
+    )
     report = {
-        "slope": slope,
-        "intercept_s": intercept,
-        "drift_ppm": (slope - 1.0) * 1e6,
+        "slope": 1.0 / scale,
+        "intercept_s": -delays.intercept / (scale * fs),
+        "drift_ppm": (1.0 / scale - 1.0) * 1e6,
+        "blocks": int(delays.lags.size),
+        "blocks_used": int(np.count_nonzero(delays.used)),
+        "lag_residual_rms_samples": delays.residual_rms,
     }
     fileio.write_json(out / "report.json", report)
     print(

@@ -1,8 +1,11 @@
-"""Phase tracking and clock-warp correction on synthetic signals.
+"""Phase tracking, block delay tracking and clock-warp correction on
+synthetic signals.
 
-Tracked-signal cases use plain tones: the tracker itself does not care
+Phase-tracked cases use plain tones: the tracker itself does not care
 whether the fundamental comes from a pulse train or a cosine, and tones
-have exactly known trajectories.
+have exactly known trajectories.  Block-tracked cases use white noise that
+repeats every two periods: it covers the whole band, and like every fvnlab
+emission it is periodic, so each block holds the same stretch of it.
 """
 
 import warnings
@@ -12,12 +15,15 @@ import numpy as np
 import pytest
 
 from fvnlab import (
+    DriftSpec,
     PhaseTrajectory,
     SampledSignal,
     WarpMap,
+    apply_drift,
     apply_warp,
     build_probe,
     build_warp_map,
+    track_block_delays,
     track_phase,
 )
 from fvnlab.align import _interval_frequency
@@ -243,3 +249,64 @@ def test_apply_warp_requires_coverage():
     short = np.array([0.01, 0.05])
     with pytest.raises(ValueError, match="extended"):
         apply_warp(x, WarpMap(short, short))
+
+
+def noise_pair(ppm, delay=7, blocks=10, period=2205, seed=8):
+    """Reference of `blocks` repeats of 2 x `period` white-noise samples, and
+    its recording: delayed by `delay` samples, then read on a clock `ppm`
+    slow."""
+    rng = np.random.default_rng(seed)
+    x = np.tile(rng.standard_normal(2 * period), blocks)
+    delayed = np.concatenate([np.zeros(delay), x])
+    y = apply_drift(SampledSignal(delayed, FS), DriftSpec("linear", ppm=ppm))
+    return SampledSignal(x, FS), y
+
+
+@pytest.mark.parametrize("ppm", [-500.0, 0.0, 20.0, 100.0, 500.0])
+def test_block_delays_read_the_drift_and_the_delay(ppm):
+    """Reference sample n sits at recording position (n + delay) / (1 + eps),
+    so the lag slope is 1 / (1 + eps) - 1.  The intercept is pinned by the
+    middle block's whole-sample lag, so it holds to a sample."""
+    eps = ppm * 1e-6
+    delays = track_block_delays(*noise_pair(ppm), 2205)
+    assert abs(1.0 / (1.0 + delays.slope) - 1.0 - eps) < 1e-8
+    assert abs(delays.intercept - 7.0 / (1.0 + eps)) < 1.0
+    assert np.all(delays.used)
+    assert delays.residual_rms < 1e-3
+    np.testing.assert_array_equal(delays.centres, np.arange(10) * 4410 + 4409 / 2)
+
+
+def test_block_delays_leave_out_a_block_that_disagrees():
+    """A block whose recording is 3 samples late is left out of the line,
+    and the blocks after it are still read right."""
+    x, y = noise_pair(100.0)
+    y.samples[5 * 4410 : 6 * 4410] = y.samples[5 * 4410 - 3 : 6 * 4410 - 3].copy()
+    delays = track_block_delays(x, y, 2205)
+    assert not delays.used[5] and np.count_nonzero(delays.used) == 9
+    assert abs(1.0 / (1.0 + delays.slope) - 1.0 - 100e-6) < 1e-8
+
+
+def test_block_delays_need_three_blocks():
+    x, y = noise_pair(0.0, blocks=3)
+    track_block_delays(x, y, 2205)
+    with pytest.raises(ValueError, match="2 block"):
+        track_block_delays(SampledSignal(x.samples[:-1], FS), y, 2205)
+
+
+def test_block_delays_refuse_a_silent_recording():
+    x, y = noise_pair(0.0)
+    with pytest.raises(ValueError, match="hold signal"):
+        track_block_delays(x, SampledSignal(np.zeros(len(y)), FS), 2205)
+
+
+@pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+def test_block_delays_hold_a_few_blocks(traced_peak, n):
+    """The tracker's buffers are block-sized whatever the record's length:
+    at most 32 blocks of float64 at once."""
+    period = 22050
+    rng = np.random.default_rng(9)
+    x = SampledSignal(rng.standard_normal(n), FS)
+    y = SampledSignal(np.concatenate([np.zeros(5), x.samples[:-5]]), FS)
+    delays, peak = traced_peak(track_block_delays, x, y, period)
+    assert np.all(delays.used)
+    assert peak <= 32 * 8 * 2 * period

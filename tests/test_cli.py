@@ -18,6 +18,8 @@ from fvnlab import (
     SampledSignal,
     ShapingFilter,
     SimTarget,
+    WarpMap,
+    apply_warp,
     assemble_sequence,
     build_code_matrix,
     center_pulse,
@@ -184,8 +186,8 @@ def test_align_long_multiplexed_record_sharpens_drift(tmp_path):
     assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
     assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
     report = json.loads((ali / "report.json").read_text())
-    # Two dozen periods let the aligner afford the half-bandwidth probe,
-    # which nulls the alternating code's half-fundamental sidebands.
+    # Two dozen periods make twelve blocks of 2 x period_no samples; the
+    # line through their delays reads the drift to a hundredth of a ppm.
     assert report["drift_ppm"] == pytest.approx(100.0, abs=0.01)
 
 
@@ -195,9 +197,111 @@ def test_align_short_multiplexed_record_still_works(tmp_path):
     assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
     assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
     report = json.loads((ali / "report.json").read_text())
-    # Too short for the half-bandwidth probe's trims; the standard probe
-    # leaves the sideband beat in, so the estimate is only ppm-coarse.
-    assert report["drift_ppm"] == pytest.approx(100.0, abs=2.0)
+    # Twelve periods make six blocks.  Each block's cross-spectrum holds
+    # every code's energy, so no code sideband blurs the delays.
+    assert report["drift_ppm"] == pytest.approx(100.0, abs=0.05)
+
+
+def room_run(tmp_path, ppm, seed=11):
+    """generate, simulate and align the README shape (2 codes, period 4410,
+    12 reps) through a room: the direct path after 40 samples, a random
+    tail decaying over 250 samples, a mild cubic and white noise 40 dB
+    down.  Returns the generate, simulate and align directories and the
+    room's FIR."""
+    gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
+    fir = np.zeros(1541)
+    fir[40] = 1.0
+    tail = np.arange(1, 1501)
+    fir[41:] = 0.3 * np.random.default_rng(3).standard_normal(1500)
+    fir[41:] *= np.exp(-tail / 250.0)
+    target = tmp_path / "room.json"
+    SimTarget(
+        paths=[fir], nonlinearity=np.array([1.0, 0.0, 0.1]), noise=NoiseSpec("white", -40.0)
+    ).to_json(target)
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=seed) == 0
+    argv = ["simulate", gen, "--config", target, "--drift-ppm", ppm, "--out-dir", sim]
+    assert run(*argv) == 0
+    assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
+    return gen, sim, ali, fir
+
+
+def ir_err_db(recording, gen, fir):
+    """Error in dB re the FIR's energy of the linear IR measured from
+    `recording`, after the circular lag and the gain that match it best."""
+    meas = recording.parent / f"{recording.stem}_measured"
+    assert run("measure", recording, gen, "--out-dir", meas) == 0
+    ir = read_wav(meas / "linear_ir.wav").samples
+    padded = np.zeros(ir.size)
+    padded[: fir.size] = fir
+    xcorr = np.fft.irfft(np.fft.rfft(ir) * np.conj(np.fft.rfft(padded)), ir.size)
+    ir = np.roll(ir, -int(np.argmax(np.abs(xcorr))))[: fir.size]
+    gain = (ir @ fir) / (ir @ ir)
+    return 10.0 * np.log10(np.sum((gain * ir - fir) ** 2) / (fir @ fir))
+
+
+def test_align_without_drift_keeps_the_measurement(tmp_path):
+    """A room record without drift measures as well aligned as it does raw."""
+    gen, sim, ali, fir = room_run(tmp_path, 0.0)
+    raw = ir_err_db(sim / "recording.wav", gen, fir)
+    assert raw < -30.0
+    assert ir_err_db(ali / "aligned.wav", gen, fir) <= raw + 0.1
+
+
+def test_align_reads_a_short_room_record_like_the_true_warp(tmp_path):
+    """The README shape through a room at 100 ppm: the drift reads within
+    0.05 ppm, and the IR is within 1 dB of one aligned with the warp the
+    injected drift gives."""
+    gen, sim, ali, fir = room_run(tmp_path, 100.0)
+    assert read_json(ali / "report.json")["drift_ppm"] == pytest.approx(100.0, abs=0.05)
+    recorded = read_wav(sim / "recording.wav")
+    span = np.array([0.0, recorded.duration])
+    oracle = tmp_path / "oracle.wav"
+    write_wav(oracle, apply_warp(recorded, WarpMap(span / (1.0 + 100e-6), span)))
+    want = ir_err_db(oracle, gen, fir)
+    assert want < -30.0
+    assert ir_err_db(ali / "aligned.wav", gen, fir) == pytest.approx(want, abs=1.0)
+
+
+def test_align_reports_its_blocks(tmp_path):
+    """report.json says how well the line fits the block delays; warp.csv
+    holds each block's centre on both clocks."""
+    gen, sim, ali, fir = room_run(tmp_path, 100.0)
+    report = read_json(ali / "report.json")
+    assert report["blocks"] == 6  # 12 periods in blocks of 2
+    assert report["blocks_used"] == report["blocks"]
+    assert report["lag_residual_rms_samples"] < 0.01
+    rows = list(csv.reader((ali / "warp.csv").open()))
+    assert rows[0] == ["t_ad_s", "t_da_s"]
+    t_ad, t_da = np.array(rows[1:], dtype=np.float64).T
+    np.testing.assert_allclose(t_da, (np.arange(6) * 8820 + 4409.5) / FS, atol=1e-9)
+    lag = t_ad - t_da
+    # the capture clock runs 100 ppm slow, so the recording gains on the
+    # reference by 100 ppm of a block per block
+    np.testing.assert_allclose(np.diff(lag), -100e-6 * 8820 / FS, rtol=0.02)
+
+
+def test_align_three_codes_keeps_the_linear_ir_peak(tmp_path):
+    """Identity target, 3 codes, 20 s, 20 ppm: the aligned record measures
+    a linear-IR peak of at least 0.999."""
+    gen, sim, ali, meas = (tmp_path / d for d in ("gen", "sim", "ali", "meas"))
+    assert generate(gen, sigma_t=0.010, period_no=22050, reps=40, codes=3, seed=4) == 0
+    assert run("simulate", gen, "--drift-ppm", 20.0, "--out-dir", sim) == 0
+    assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
+    assert run("measure", ali / "aligned.wav", gen, "--out-dir", meas) == 0
+    assert np.max(np.abs(read_wav(meas / "linear_ir.wav").samples)) >= 0.999
+
+
+def test_align_refuses_a_record_of_two_blocks(tmp_path, capsys):
+    """Five periods make two blocks of 2 x period_no samples, one fewer than
+    a line through their delays needs: exit 2 with one line."""
+    gen, sim = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=5) == 0
+    assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
+    capsys.readouterr()
+    assert run("align", sim / "recording.wav", gen, "--out-dir", tmp_path / "ali") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alignment failed") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_measure_without_manifest_is_a_validation_error(tmp_path):
