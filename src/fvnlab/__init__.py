@@ -12,6 +12,7 @@ from .align import (
     PhaseTrajectory,
     WarpMap,
     apply_warp,
+    block_lags,
     build_probe,
     build_warp_map,
     track_block_delays,
@@ -72,6 +73,7 @@ __all__ = [
     "apply_drift",
     "apply_warp",
     "assemble_sequence",
+    "block_lags",
     "build_code_matrix",
     "build_probe",
     "build_warp_map",

@@ -1,18 +1,20 @@
 """Clock-drift estimation and correction.
 
 The emitted reference and a recording of it run on independent playback
-(DA) and capture (AD) clocks.  track_block_delays, which `fvnlab align`
-uses, reads the delay of each block of the reference inside the recording
-from their cross-spectrum (generalized cross-correlation, Knapp & Carter
-1976) and fits a line through those delays; it holds block-sized buffers
-only.  Resampling the recording through the warp puts both on a common
-clock.
+(DA) and capture (AD) clocks.  block_lags reads the delay of each block of
+the reference inside the recording from their cross-spectrum (generalized
+cross-correlation, Knapp & Carter 1976); track_block_delays fits a line
+through those delays, and BlockDelays.warp turns the line's slope into the
+warp that `fvnlab align` and selftest criterion 09 apply.  Both hold
+block-sized buffers only.  Resampling the recording through the warp puts
+both on a common clock.
 
-Fundamental-phase tracking is the paper's method and is kept for selftest
-criterion 09: the repetition rate puts a strong line at f_o = fs /
-period_no, a complex probe selects that line, its instantaneous frequency
-integrates to a phase trajectory, and matching the trajectory of a
-recording against the trajectory of the reference gives the time warp.
+Fundamental-phase tracking (build_probe, track_phase, build_warp_map) is
+the paper's method; no command or criterion runs it.  The repetition rate
+puts a strong line at f_o = fs / period_no, a complex probe selects that
+line, its instantaneous frequency integrates to a phase trajectory, and
+matching the trajectory of a recording against the trajectory of the
+reference gives the time warp.
 """
 
 from __future__ import annotations
@@ -101,24 +103,6 @@ class WarpMap:
         tilt = np.dot(centred, dev) / np.dot(centred, centred)
         return float(1.0 + tilt), float(dev_mean - tilt * t_mean)
 
-    def extended(self, t_lo: float, t_hi: float) -> "WarpMap":
-        """Extrapolate linearly (from the end segments) to cover [t_lo, t_hi]."""
-        edge = max(2, self.t_ad.size // 20)
-        t_ad, t_da = self.t_ad, self.t_da
-        pre_ad, pre_da, post_ad, post_da = [], [], [], []
-        if t_lo < t_ad[0]:
-            s = np.polyfit(t_ad[:edge], t_da[:edge], 1)[0]
-            pre_ad = [t_lo]
-            pre_da = [t_da[0] + s * (t_lo - t_ad[0])]
-        if t_hi > t_ad[-1]:
-            s = np.polyfit(t_ad[-edge:], t_da[-edge:], 1)[0]
-            post_ad = [t_hi]
-            post_da = [t_da[-1] + s * (t_hi - t_ad[-1])]
-        return WarpMap(
-            np.concatenate([pre_ad, t_ad, post_ad]),
-            np.concatenate([pre_da, t_da, post_da]),
-        )
-
 
 def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
     """Construct the analytic probe for fundamental frequency f_o."""
@@ -148,15 +132,16 @@ def _interval_frequency(y: np.ndarray, fs: float) -> np.ndarray:
 def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajectory:
     """Track the unwrapped fundamental phase of a recording.
 
-    The recording is convolved with the probe (group delay compensated),
-    probe-length edges are discarded, and the exact phase advance over
-    each sample interval is summed into a phase trajectory.  Where the
-    probe loses the line (digital silence), only the longest run that keeps
-    it is tracked, less one probe length wherever it borders the loss.  The
-    integration constant is the analytic phase angle at the strongest
-    sample, with the whole-cycle count chosen closest to the nominal phase
-    2 pi f_o t; this pins the absolute phase as long as the initial offset
-    between signal and nominal timing stays under half a period.
+    The recording is convolved with the probe's real and imaginary taps
+    (group delay compensated), probe-length edges are discarded, and the
+    exact phase advance over each sample interval is summed into a phase
+    trajectory.  Where the probe loses the line (digital silence), only the
+    longest run that keeps it is tracked, less one probe length wherever it
+    borders the loss.  The integration constant is the analytic phase angle
+    at the strongest sample, with the whole-cycle count chosen closest to
+    the nominal phase 2 pi f_o t; this pins the absolute phase as long as
+    the initial offset between signal and nominal timing stays under half a
+    period.
     """
     if recorded.fs != probe.fs:
         raise ValueError("sample rates of recording and probe differ")
@@ -164,8 +149,9 @@ def track_phase(recorded: SampledSignal, probe: AnalyticProbe) -> PhaseTrajector
     half = probe.half
     if n <= 2 * half + 16:
         raise ValueError("recording shorter than the probe plus its edges")
-    y = fftconvolve(recorded.samples, probe.taps)[half : half + n]
-    y = y[half : n - half]  # drop convolution edge transients
+    # group delay compensated, convolution edge transients dropped
+    y = 1j * fftconvolve(recorded.samples, probe.taps.imag)[2 * half : n]
+    y += fftconvolve(recorded.samples, probe.taps.real)[2 * half : n]
     offset = half
     mag = np.abs(y)
     median = np.median(mag)
@@ -246,6 +232,16 @@ class BlockDelays:
     intercept: float
     residual_rms: float
 
+    def warp(self, duration: float) -> WarpMap:
+        """The warp that undoes the fitted drift over [0, duration] s.
+
+        The intercept is left out, so the propagation delay stays in the
+        IR.  A slope of -1 or less folds time, and WarpMap refuses it.
+        """
+        scale = 1.0 + self.slope  # recording samples per reference sample
+        span = np.array([0.0, duration])
+        return WarpMap(scale * span, span)
+
 
 def _read_block(x: np.ndarray, start: int, size: int) -> np.ndarray:
     """x[start : start + size], with zeros wherever that runs off x."""
@@ -284,10 +280,11 @@ def _fit_lag_line(
     return float(slope), float(lag_mean - slope * c_mean), used, rms
 
 
-def track_block_delays(
+def block_lags(
     reference: SampledSignal, recorded: SampledSignal, period_no: int
-) -> BlockDelays:
-    """Delay of each block of 2 period_no reference samples in the recording.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(centres, lags): the delay of each block of 2 period_no reference
+    samples in the recording, at the block's centre, both in samples.
 
     Reference block b and the recording read from the same start plus an
     integer lag k_b are Hann-weighted; C_b = conj(X_b) Y_b is their
@@ -301,8 +298,8 @@ def track_block_delays(
     lag_b = k_b + round(d) - slope / 2 pi.  Only the middle block takes k_b
     from the peak of |cross-correlation| (within +-period_no // 4); walking
     outward from it, each block reads at the previous lag plus the last
-    step.  Reads past either end of a signal give zeros.  A line is fitted
-    through the lags (_fit_lag_line).  Buffers are block-sized.
+    step.  Reads past either end of a signal give zeros; a block with no
+    signal in band reads NaN.  Buffers are block-sized.
     """
     if reference.fs != recorded.fs:
         raise ValueError("sample rates of reference and recording differ")
@@ -360,6 +357,25 @@ def track_block_delays(
                 lags[b] = k + shift - slope / (2.0 * np.pi)
                 step, previous = lags[b] - previous, lags[b]
     centres = np.arange(count) * float(size) + (size - 1) / 2.0
+    return centres, lags
+
+
+def track_block_delays(
+    reference: SampledSignal, recorded: SampledSignal, period_no: int
+) -> BlockDelays:
+    """The block lags (block_lags) and a line fitted through them
+    (_fit_lag_line).
+
+    Two limits.  Every lag is counted from the middle block's whole-sample
+    correlation peak, so the intercept is only good to about a sample; the
+    warp drops it.  Each block is read unwarped, so the drift inside a
+    block decorrelates it from its reference: a reference that does not
+    repeat block to block scatters the lags, and white noise read the drift
+    0.2-1.6 ppm off at +-100-500 ppm.  fvnlab's emissions repeat every
+    block, which cancels this.  A drift that is not linear leaves fewer
+    than two lags on one line and is refused; block_lags still reads it.
+    """
+    centres, lags = block_lags(reference, recorded, period_no)
     slope, intercept, used, rms = _fit_lag_line(centres, lags)
     return BlockDelays(centres, lags, used, slope, intercept, rms)
 
@@ -370,7 +386,7 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
     Output sample m holds the input evaluated at the capture time that maps
     to playback time m / fs, so the result is what an ideal converter on the
     playback clock would have recorded.  The warp must cover the whole
-    signal span; extend it first if the tracker trimmed the edges.
+    signal span, as BlockDelays.warp does.
     """
     n = len(signal)
     t_out = np.arange(n, dtype=np.float64)
@@ -380,7 +396,7 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
         raise ValueError(
             "warp map does not cover the signal span "
             f"([{warp.t_da[0]:.6f}, {warp.t_da[-1]:.6f}] s versus "
-            f"[0, {t_out[-1]:.6f}] s); use WarpMap.extended"
+            f"[0, {t_out[-1]:.6f}] s); build it over the whole span"
         )
     positions = np.interp(t_out, warp.t_da, warp.t_ad)
     del t_out

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, selftest
-from .align import WarpMap, apply_warp, track_block_delays
+from .align import apply_warp, track_block_delays
 from .codes import build_code_matrix
 from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
@@ -103,6 +103,19 @@ def _check_keys(path, doc, kinds, prefix="", optional=(), closed=True) -> None:
             raise ValueError(f"{path}: {prefix}{key} must be {kind}")
 
 
+def _read_shape(path: str) -> ShapingFilter:
+    """A --shape file: a JSON list of numbers, the kind a manifest's shape
+    key holds, made a ShapingFilter; every refusal names the file."""
+    doc = fileio.read_json(path)
+    kind = "a list of numbers"
+    if not _IS_KIND[kind](doc):
+        raise ValueError(f"{path}: expected {kind}")
+    try:
+        return ShapingFilter(np.asarray(doc, dtype=np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _resolve_config(args) -> dict:
     """Defaults < JSON config file < flags < FVNLAB_SEED."""
     cfg = {key: default for key, (default, _) in _SETTINGS.items()}
@@ -170,7 +183,10 @@ def _read_target(path: str) -> SimTarget:
     if doc.get("drift"):
         optional = ("ppm", "depth_s", "rate_hz")
         _check_keys(path, doc["drift"], _DRIFT_KEYS, "drift.", optional=optional)
-    return SimTarget.from_dict(doc)
+    try:
+        return SimTarget.from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -222,7 +238,7 @@ def _channels_from_manifest(manifest: dict, codes: np.ndarray | None = None) -> 
 
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
-    filt = fileio.read_filter(cfg["shape"]) if cfg["shape"] else None
+    filt = _read_shape(cfg["shape"]) if cfg["shape"] else None
     seed = int(cfg["seed"])
     codes = build_code_matrix(int(cfg["codes"]))  # rejects bad counts first
     manifest = {
@@ -364,10 +380,7 @@ def cmd_align(args) -> int:
     reference = multiplex(emitted)
     try:
         delays = track_block_delays(reference, recorded, int(manifest["period_no"]))
-        # the intercept is left out, so the propagation delay stays in the IR
-        scale = 1.0 + delays.slope  # recording samples per reference sample
-        span = np.array([0.0, recorded.duration])
-        warp = WarpMap(scale * span, span)  # refuses a scale <= 0
+        warp = delays.warp(recorded.duration)
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc
     del reference  # apply_warp's buffers come next
@@ -379,6 +392,7 @@ def cmd_align(args) -> int:
     fileio.write_warp_csv(
         out / "warp.csv", (delays.centres + delays.lags) / fs, delays.centres / fs
     )
+    scale = 1.0 + delays.slope  # recording samples per reference sample
     report = {
         "slope": 1.0 / scale,
         "intercept_s": -delays.intercept / (scale * fs),

@@ -118,13 +118,6 @@ def write_filter(path: str | Path, filt: ShapingFilter) -> None:
     Path(path).write_text(json.dumps(filt.a.tolist()) + "\n")
 
 
-def read_filter(path: str | Path) -> ShapingFilter:
-    doc = read_json(path)
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a plain JSON array of coefficients")
-    return ShapingFilter(np.asarray(doc, dtype=np.float64))
-
-
 def write_spectrum_csv(
     path: str | Path, freqs: np.ndarray, level_db: np.ndarray
 ) -> None:

@@ -128,22 +128,16 @@ def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two non-empty 1-D arrays via one FFT product.
+    """Full linear convolution of two non-empty real 1-D arrays via one FFT
+    product at the next 5-smooth length.
 
-    Real inputs go through rfft at the next fast real length, anything
-    complex through fft at the next fast complex length.  This is the
-    arithmetic of scipy.signal.fftconvolve in mode "full", so the results
-    are identical, without importing scipy.signal; like it, a length-1
-    input is a plain product.
+    This is the arithmetic of scipy.signal.fftconvolve in mode "full" on
+    real inputs, so the results are identical, without importing
+    scipy.signal; like it, a length-1 input is a plain product.
     """
     if a.size == 1 or b.size == 1:
         return a * b
     n = a.size + b.size - 1
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = _fast_len(n, (2, 3, 5, 7, 11))
-        spectrum = _fft(a, m)
-        spectrum *= _fft(b, m)
-        return np.fft.ifft(spectrum, m)[:n]
     m = _fast_len(n, (2, 3, 5))
     spectrum = np.fft.rfft(a, m)
     spectrum *= np.fft.rfft(b, m)
@@ -161,15 +155,3 @@ def _fast_len(n: int, primes: tuple[int, ...]) -> int:
                 odd.append(q)
     return min(q << (-(-n // q) - 1).bit_length() for q in odd)
 
-
-def _fft(x: np.ndarray, m: int) -> np.ndarray:
-    """scipy.fft.fft(x, m).  For a real x, scipy fills bin 0 and the bins from
-    m / 2 up with the conjugate of rfft bin (m - k) % m; np.fft.fft differs."""
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, m)
-    half = np.fft.rfft(x, m)
-    full = np.empty(m, dtype=half.dtype)
-    full[0] = half[0].conjugate()
-    full[1 : (m + 1) // 2] = half[1 : (m + 1) // 2]
-    np.conjugate(half[m // 2 : 0 : -1], out=full[(m + 1) // 2 :])
-    return full

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import fvn
-from .align import apply_warp, build_probe, build_warp_map, track_phase
+from .align import apply_warp, block_lags, track_block_delays
 from .codes import build_code_matrix, verify_orthogonality
 from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
 from .measure import demultiplex, separate_nonlinear
@@ -277,15 +277,12 @@ def criterion_drift_recovery() -> tuple[bool, str]:
         [seq],
     )
 
-    probe = build_probe(FS / period, 1.0, FS)
-    reference = track_phase(seq, probe)
-    measured = track_phase(drifted, probe)
-    warp = build_warp_map(reference, measured)
+    # the tracker and warp `fvnlab align` runs
+    warp = track_block_delays(seq, drifted, period).warp(drifted.duration)
     slope = warp.linear_fit()[0]
     slope_err = abs(slope - 1.0001)
 
-    span = warp.extended(-0.01, len(drifted) / FS + 0.01)
-    aligned_ratio = peak_of(apply_warp(drifted, span)) / peak0
+    aligned_ratio = peak_of(apply_warp(drifted, warp)) / peak0
     raw_ratio = peak_of(drifted) / peak0  # recorded, not thresholded
 
     wobble = simulate(
@@ -295,11 +292,12 @@ def criterion_drift_recovery() -> tuple[bool, str]:
         ),
         [seq],
     )
-    warp2 = build_warp_map(reference, track_phase(wobble, probe))
-    dev = warp2.deviation()
-    t = warp2.t_ad
+    # no line holds the wobble, so its sine is fitted to the block lags
+    centres, lags = block_lags(seq, wobble, period)
+    t = centres / FS
+    dev = lags / FS
     dev = dev - np.polyval(np.polyfit(t, dev, 1), t)
-    grid = np.fft.rfftfreq(t.size, 1.0 / FS)
+    grid = np.fft.rfftfreq(t.size, 2 * period / FS)
     top = int(np.argmax(np.abs(np.fft.rfft(dev))[1:])) + 1
     period_exact = top == int(np.argmin(np.abs(grid - 0.5)))
     basis = np.stack([np.sin(2 * np.pi * 0.5 * t), np.cos(2 * np.pi * 0.5 * t)])

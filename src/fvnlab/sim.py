@@ -36,9 +36,10 @@ class DriftSpec:
     """Clock drift: 'linear' (ppm) or 'sinusoidal' (depth_s, rate_hz).
 
     Linear drift reads the source at t * (1 + ppm * 1e-6); sinusoidal drift
-    at t + depth_s * sin(2 pi rate_hz t).  A sinusoidal modulation with
-    depth_s * 2 pi rate_hz >= 1 would fold time back on itself and is
-    rejected.
+    at t + depth_s * sin(2 pi rate_hz t).  Drift that would freeze time or
+    run it backwards is rejected: a linear 1 + ppm * 1e-6 <= 0, or a
+    sinusoidal |depth_s * 2 pi rate_hz| >= 1, which folds time back on
+    itself.
     """
 
     kind: str
@@ -49,10 +50,14 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "sinusoidal"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if self.kind == "linear" and 1.0 + self.ppm * 1e-6 <= 0.0:
+            raise ValueError(
+                "linear drift stops or reverses time: ppm must be above -1e6"
+            )
         if self.kind == "sinusoidal":
-            if self.depth_s * 2.0 * np.pi * self.rate_hz >= 1.0:
+            if abs(self.depth_s * 2.0 * np.pi * self.rate_hz) >= 1.0:
                 raise ValueError(
-                    "sinusoidal drift too deep: depth_s * 2 pi rate_hz must be < 1"
+                    "sinusoidal drift too deep: |depth_s * 2 pi rate_hz| must be < 1"
                 )
 
 

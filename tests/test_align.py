@@ -8,6 +8,7 @@ repeats every two periods: it covers the whole band, and like every fvnlab
 emission it is periodic, so each block holds the same stretch of it.
 """
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from fvnlab import (
     WarpMap,
     apply_drift,
     apply_warp,
+    block_lags,
     build_probe,
     build_warp_map,
     track_block_delays,
@@ -211,16 +213,6 @@ def test_warp_map_validation():
         WarpMap(np.array([0.0]), np.array([0.0]))
 
 
-def test_extended_continues_the_end_slopes():
-    t = np.linspace(0.0, 1.0, 200)
-    warp = WarpMap(t, 1.0001 * t + 0.003)
-    ext = warp.extended(-0.5, 1.5)
-    assert ext.t_ad[0] == -0.5 and ext.t_ad[-1] == 1.5
-    assert ext.t_da[0] == pytest.approx(1.0001 * -0.5 + 0.003, abs=1e-9)
-    assert ext.t_da[-1] == pytest.approx(1.0001 * 1.5 + 0.003, abs=1e-9)
-    np.testing.assert_array_equal(ext.t_ad[1:-1], warp.t_ad)
-
-
 def test_apply_warp_identity_returns_the_signal():
     rng = np.random.default_rng(5)
     x = SampledSignal(rng.standard_normal(10000), FS)
@@ -247,7 +239,7 @@ def test_apply_warp_then_inverse_restores_the_interior():
 def test_apply_warp_requires_coverage():
     x = SampledSignal(np.zeros(10000), FS)
     short = np.array([0.01, 0.05])
-    with pytest.raises(ValueError, match="extended"):
+    with pytest.raises(ValueError, match="does not cover the signal span"):
         apply_warp(x, WarpMap(short, short))
 
 
@@ -310,3 +302,35 @@ def test_block_delays_hold_a_few_blocks(traced_peak, n):
     delays, peak = traced_peak(track_block_delays, x, y, period)
     assert np.all(delays.used)
     assert peak <= 32 * 8 * 2 * period
+
+
+def test_block_lags_follow_a_wobble_the_line_refuses():
+    """A 0.5 Hz wobble of 1e-4 s leaves no two lags within half a sample of
+    one line, so track_block_delays refuses; block_lags still reads every
+    lag.  Reference sample n sits at the recording position m that solves
+    m + D sin(w m) = n; the lags match m - n up to the middle block's
+    whole-sample pin, a constant."""
+    period, blocks = 2205, 40
+    rng = np.random.default_rng(8)
+    x = SampledSignal(np.tile(rng.standard_normal(2 * period), blocks), FS)
+    y = apply_drift(x, DriftSpec("sinusoidal", depth_s=1e-4, rate_hz=0.5))
+    with pytest.raises(ValueError, match="one line"):
+        track_block_delays(x, y, period)
+    centres, lags = block_lags(x, y, period)
+    np.testing.assert_array_equal(centres, np.arange(blocks) * 4410 + 4409 / 2)
+    depth, w = 1e-4 * FS, 2.0 * np.pi * 0.5 / FS
+    m = centres.copy()
+    for _ in range(10):  # a contraction: depth * w is 3e-4
+        m = centres - depth * np.sin(w * m)
+    assert np.max(np.abs(m - centres)) > 4.3
+    assert np.ptp(lags - (m - centres)) < 0.02
+
+
+def test_block_delay_warp_spans_the_record_at_the_fitted_rate():
+    delays = track_block_delays(*noise_pair(100.0), 2205)
+    warp = delays.warp(2.0)
+    np.testing.assert_array_equal(warp.t_da, [0.0, 2.0])
+    np.testing.assert_array_equal(warp.t_ad, [0.0, 2.0 * (1.0 + delays.slope)])
+    folded = dataclasses.replace(delays, slope=-1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        folded.warp(2.0)

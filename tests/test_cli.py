@@ -33,7 +33,7 @@ from fvnlab import (
     synthesize_unit_fvn,
 )
 from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
-from fvnlab.fileio import read_filter, read_json, read_wav, write_filter, write_wav
+from fvnlab.fileio import read_json, read_wav, write_filter, write_wav
 
 FS = 44100.0
 
@@ -156,7 +156,7 @@ def test_generated_channels_are_the_public_recipe(tmp_path):
     write_filter(shape, design_slope_filter(-3.0, 44100.0))
     kw = dict(sigma_t=0.005, period_no=2205, reps=12, codes=2, seed=21)
     assert generate(gen, shape=shape, **kw) == 0
-    codes, filt = build_code_matrix(2), read_filter(shape)
+    codes, filt = build_code_matrix(2), ShapingFilter(read_json(shape))
     for i in range(2):
         spec = FvnSpec(sigma_t=0.005, fs=44100.0, seed=21 + i)
         unit = center_pulse(synthesize_unit_fvn(spec))
@@ -457,6 +457,56 @@ def test_malformed_json_is_a_validation_error_naming_the_file(tmp_path, capsys, 
         "shape": ["generate", "--shape", bad],
     }[which]
     check_one_error_line(capsys, [*argv, "--out-dir", out], str(bad), "malformed JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ([{}], "a list of numbers"),
+        (["a"], "a list of numbers"),
+        ([[0.5]], "a list of numbers"),
+        ([True], "a list of numbers"),
+        ([2.0], "unstable filter"),
+    ],
+)
+def test_bad_shape_file_is_a_validation_error_naming_the_file(
+    tmp_path, capsys, doc, names
+):
+    """Every element of a --shape file is a number, as in a manifest's shape
+    key: true is not read as 1.0."""
+    shape, gen = tmp_path / "shape.json", tmp_path / "gen"
+    shape.write_text(json.dumps(doc))
+    argv = ["generate", "--shape", shape, "--out-dir", gen]
+    check_one_error_line(capsys, argv, str(shape), names)
+    assert not gen.exists()
+
+
+@pytest.mark.parametrize("ppm", ["-1000000", "-2000000"])
+def test_drift_flag_that_stops_or_reverses_time_is_refused(tmp_path, capsys, ppm):
+    gen, out = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    argv = ["simulate", gen, "--drift-ppm", ppm, "--out-dir", out]
+    check_one_error_line(capsys, argv, "ppm")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "drift, names",
+    [
+        ({"kind": "linear", "ppm": -1e6}, "ppm"),
+        ({"kind": "sinusoidal", "depth_s": 0.01, "rate_hz": -100.0}, "too deep"),
+        ({"kind": "sinusoidal", "depth_s": -0.01, "rate_hz": 100.0}, "too deep"),
+    ],
+)
+def test_target_drift_that_folds_time_is_refused_naming_the_file(
+    tmp_path, capsys, drift, names
+):
+    gen, out, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    target.write_text(json.dumps({"paths": [[1.0]], "drift": drift}))
+    argv = ["simulate", gen, "--config", target, "--out-dir", out]
+    check_one_error_line(capsys, argv, str(target), names)
     assert not out.exists()
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from fvnlab import SampledSignal, ShapingFilter, fileio
+from fvnlab import SampledSignal, ShapingFilter, cli, fileio
 from fvnlab.fileio import (
     MAX_WAV_RATE,
-    read_filter,
     read_json,
     read_wav,
     write_filter,
@@ -175,15 +174,16 @@ def test_filter_roundtrip(tmp_path):
     filt = ShapingFilter(np.array([1.8, 0.81]))
     f = tmp_path / "shape.json"
     write_filter(f, filt)
-    back = read_filter(f)
+    back = cli._read_shape(f)
     np.testing.assert_array_equal(back.a, filt.a)
 
 
 def test_filter_rejects_non_array_documents(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text('{"a": [0.5]}')
-    with pytest.raises(ValueError):
-        read_filter(f)
+    with pytest.raises(ValueError) as refused:
+        cli._read_shape(f)
+    assert str(refused.value) == f"{f}: expected a list of numbers"
 
 
 def test_spectrum_csv_layout(tmp_path):

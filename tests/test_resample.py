@@ -252,28 +252,16 @@ def test_upsample2_validation():
 
 
 @pytest.mark.parametrize("n_kernel", [1, 7, 1000, 1009, 4000])
-@pytest.mark.parametrize("complex_kernel", [False, True])
-def test_fftconvolve_matches_scipy(n_kernel, complex_kernel):
+def test_fftconvolve_matches_scipy(n_kernel):
     """Kernels shorter than, as long as and longer than the 1009-sample
     signal; 1009 and 1009 + 1009 - 1 = 2017 are primes, not 5-smooth."""
     rng = np.random.default_rng(n_kernel)
     x = rng.standard_normal(1009)
     kernel = rng.standard_normal(n_kernel)
-    if complex_kernel:
-        kernel = kernel * np.exp(1j * rng.uniform(-np.pi, np.pi, n_kernel))
     got = fftconvolve(x, kernel)
     expected = scipy.signal.fftconvolve(x, kernel)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("kernel", [[-1j, -1j, -1j], [-1 - 1j, -1 - 1j, -1 - 1j]])
-def test_fftconvolve_of_silence_matches_scipy_bit_for_bit(kernel):
-    """scipy's fft of a real input conjugates the bins that mirror onto
-    themselves; with a silent input that decides the signs of the zeros."""
-    silence, kernel = np.zeros(4), np.array(kernel)
-    got = fftconvolve(silence, kernel)
-    assert got.tobytes() == scipy.signal.fftconvolve(silence, kernel).tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False])

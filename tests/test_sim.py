@@ -9,9 +9,7 @@ from fvnlab import (
     SampledSignal,
     SimTarget,
     apply_drift,
-    build_probe,
     simulate,
-    track_phase,
 )
 from fvnlab.sim import _generate_noise
 
@@ -99,37 +97,57 @@ def test_zero_linear_drift_changes_nothing():
 
 
 def test_linear_drift_scales_the_tracked_frequency():
+    """The drifted tone is cos(w t) with w = 2 pi 20 (1 + 1e-4).  Fitted
+    against that closed form with a free gain, phase and frequency offset
+    dw, linearised as cos(w t) - (p + dw t) sin(w t), it runs at w - dw."""
     t = np.arange(2 * 44100) / FS
     tone = SampledSignal(np.cos(2.0 * np.pi * 20.0 * t), FS)
-    drifted = apply_drift(tone, DriftSpec("linear", ppm=100.0))
-    traj = track_phase(drifted, build_probe(20.0, 1.0, FS))
-    slope = np.polyfit(traj.times, traj.phase, 1)[0]
-    assert slope == pytest.approx(2.0 * np.pi * 20.0 * 1.0001, rel=1e-8)
+    drifted = apply_drift(tone, DriftSpec("linear", ppm=100.0)).samples
+    w = 2.0 * np.pi * 20.0 * 1.0001
+    inner = slice(4410, -4410)  # clear of the resampler's edges
+    basis = np.column_stack(
+        [np.cos(w * t), np.sin(w * t), t * np.sin(w * t), t * np.cos(w * t)]
+    )
+    coef, *_ = np.linalg.lstsq(basis[inner], drifted[inner], rcond=None)
+    assert w - coef[2] == pytest.approx(2.0 * np.pi * 20.0 * 1.0001, rel=1e-8)
 
 
 def test_sinusoidal_drift_modulates_the_phase():
+    """The drifted tone is cos(phi) with phi = 2 pi 20 (t + 1e-4 sin(pi t)).
+    Fitted against that closed form with a free gain, phase and residual
+    modulation a sin(pi t) + b cos(pi t), linearised like the linear case,
+    its phase modulation has the amplitude 2 pi 20 1e-4."""
     t = np.arange(4 * 44100) / FS
     tone = SampledSignal(np.cos(2.0 * np.pi * 20.0 * t), FS)
     drift = DriftSpec("sinusoidal", depth_s=1e-4, rate_hz=0.5)
-    traj = track_phase(apply_drift(tone, drift), build_probe(20.0, 1.0, FS))
-    # fit line and sinusoid jointly: over less than two modulation periods a
-    # separate detrend would absorb part of the sinusoid
+    drifted = apply_drift(tone, drift).samples
+    depth = 2.0 * np.pi * 20.0 * 1e-4
+    phi = 2.0 * np.pi * 20.0 * t + depth * np.sin(np.pi * t)
+    inner = slice(4410, -4410)
     basis = np.column_stack(
         [
-            np.ones_like(traj.times),
-            traj.times,
-            np.sin(2.0 * np.pi * 0.5 * traj.times),
-            np.cos(2.0 * np.pi * 0.5 * traj.times),
+            np.cos(phi),
+            np.sin(phi),
+            np.sin(np.pi * t) * np.sin(phi),
+            np.cos(np.pi * t) * np.sin(phi),
         ]
     )
-    coef, *_ = np.linalg.lstsq(basis, traj.phase, rcond=None)
-    amplitude = float(np.hypot(coef[2], coef[3]))
+    coef, *_ = np.linalg.lstsq(basis[inner], drifted[inner], rcond=None)
+    amplitude = float(np.hypot(depth - coef[2], coef[3]))
     assert amplitude == pytest.approx(2.0 * np.pi * 20.0 * 1e-4, rel=0.05)
 
 
 def test_sinusoidal_drift_depth_limit():
-    with pytest.raises(ValueError):
-        DriftSpec("sinusoidal", depth_s=0.4, rate_hz=0.5)
+    """|depth_s 2 pi rate_hz| >= 1 folds time back on itself, whatever the
+    signs; 1 + ppm 1e-6 <= 0 stops or reverses it."""
+    for depth_s, rate_hz in [(0.4, 0.5), (0.01, -100.0), (-0.01, 100.0)]:
+        with pytest.raises(ValueError, match="too deep"):
+            DriftSpec("sinusoidal", depth_s=depth_s, rate_hz=rate_hz)
+    DriftSpec("sinusoidal", depth_s=-1e-4, rate_hz=-0.5)
+    for ppm in [-1e6, -2e6]:
+        with pytest.raises(ValueError, match="ppm"):
+            DriftSpec("linear", ppm=ppm)
+    DriftSpec("linear", ppm=-999_999.0)
 
 
 def test_target_json_roundtrip(tmp_path):
