@@ -163,15 +163,16 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
     return path, manifest
 
 
-def _read_recording(args) -> tuple[dict, SampledSignal]:
-    """The manifest and the recording `measure` and `align` work on."""
-    _, manifest = _read_manifest(args.manifest)
+def _read_recording(args) -> tuple[Path, dict, SampledSignal]:
+    """The manifest's path, the manifest and the recording `measure` and
+    `align` work on."""
+    path, manifest = _read_manifest(args.manifest)
     recorded = fileio.read_wav(args.recording)
     if recorded.fs != manifest["fs"]:
         raise ValueError(
             f"recording rate {recorded.fs} does not match manifest {manifest['fs']}"
         )
-    return manifest, recorded
+    return path, manifest, recorded
 
 
 def _read_target(path: str) -> SimTarget:
@@ -195,24 +196,31 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _channels_from_manifest(manifest: dict, codes: np.ndarray | None = None) -> tuple[
+def _channels_from_manifest(
+    manifest: dict, shape_source: str, codes: np.ndarray | None = None
+) -> tuple[
     np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
     """Code matrix (built from the manifest unless given), shaping filter,
     unit pulses and lazily emitted signals.  A filter whose range breaks the
     float32 round trip and a plan too long for a WAV file are refused before
-    anything is synthesized."""
+    anything is synthesized; a refused filter's message starts with
+    `shape_source`, where its coefficients came from."""
     codes = build_code_matrix(int(manifest["codes"])) if codes is None else codes
     sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
     pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
     filt = None
     if manifest.get("shape"):
-        filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
+        try:
+            filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{shape_source}: {exc}") from None
         span = filt.range_db(fs)
         if span > MAX_SHAPE_RANGE_DB:
             raise ValueError(
-                f"shape: the filter's gain spans {span:.1f} dB over 0..fs/2, more "
-                f"than the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 round trip survives"
+                f"{shape_source}: the filter's gain spans {span:.1f} dB over "
+                f"0..fs/2, more than the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 "
+                "round trip survives"
             )
     period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
     length = period * reps + max(0, pulse - period)
@@ -254,7 +262,7 @@ def cmd_generate(args) -> int:
         ],
         "shape": filt.a.tolist() if filt is not None else None,
     }
-    *_, emitted = _channels_from_manifest(manifest, codes)
+    *_, emitted = _channels_from_manifest(manifest, cfg["shape"], codes)
     # checked here, not with the flags, so the pulse-length check (which names
     # sigma_t too) comes first; nothing is assembled or written yet
     if manifest["fs"] > fileio.MAX_WAV_RATE:
@@ -299,6 +307,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             f"target has {len(target.paths)} paths for {len(channels)} channels"
         )
+    source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
+    _check_drift(source, target, drive, int(manifest["period_no"]))
     seed = _env_seed()
     if seed is None:
         seed = int(manifest["seed"]) if args.seed is None else args.seed
@@ -316,9 +326,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_drift(source: str, target: SimTarget, drive: list, period_no: int) -> None:
+    """Refuse a linear drift whose clock runs through the source more than
+    one period before the record ends, naming `source`: time at 1 + s reads
+    the last source sample at N / (1 + s), so the last s / (1 + s) * N
+    samples of the N-sample record would hear nothing."""
+    drift = target.drift
+    if drift is None or drift.kind != "linear":
+        return
+    length = max(len(s) + fir.size - 1 for s, fir in zip(drive, target.paths))
+    rate = drift.ppm * 1e-6
+    silent = rate / (1.0 + rate) * length
+    if silent > period_no:
+        raise ValueError(
+            f"{source} {drift.ppm:g} runs out of source {silent:.0f} samples before "
+            f"the end of the {length}-sample record, more than one period ({period_no})"
+        )
+
+
 def cmd_measure(args) -> int:
-    manifest, recorded = _read_recording(args)
-    codes, filt, units, _ = _channels_from_manifest(manifest)
+    path, manifest, recorded = _read_recording(args)
+    codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape")
     if filt is not None:
         recorded = inverse_shape(recorded, filt)
     rows = [int(ch["code_row"]) for ch in manifest["channels"]]
@@ -375,8 +403,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_align(args) -> int:
-    manifest, recorded = _read_recording(args)
-    *_, emitted = _channels_from_manifest(manifest)
+    path, manifest, recorded = _read_recording(args)
+    *_, emitted = _channels_from_manifest(manifest, f"{path}: shape")
     reference = multiplex(emitted)
     try:
         delays = track_block_delays(reference, recorded, int(manifest["period_no"]))

@@ -16,6 +16,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .codes import averaging_block, row_of
 from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
+from .resample import _fast_len, fftconvolve
 from .signal import SampledSignal
 
 
@@ -80,6 +81,24 @@ class ShapingFilter:
         level = self.magnitude_db(np.linspace(0.0, fs / 2, 2**14 + 1), fs)
         return float(level.max() - level.min())
 
+    def impulse_response(self, length: int) -> np.ndarray:
+        """Impulse response of 1 / A(z), cut after T samples or at `length`.
+
+        T = ceil(log(1e-18) / log r), with r the largest root magnitude of
+        A, is where the slowest pole has decayed to 1e-18.  The response is
+        the inverse FFT of 1 / A at the next 5-smooth length M >= T, taken
+        from T even when `length` is shorter: at a smaller M the periodic
+        response would fold its own tail onto the kept samples.
+        """
+        a = np.concatenate([[1.0], self.a])
+        r = np.max(np.abs(np.roots(a)), initial=0.0)
+        if r >= 1.0:  # Schur-Cohn passed, but np.roots rounds onto the circle
+            raise ValueError("a pole too close to the unit circle to truncate")
+        with np.errstate(divide="ignore"):  # r = 0: A(z) = 1, T = 1
+            decay = max(1, int(np.ceil(np.log(1e-18) / np.log(r))))
+        m = _fast_len(max(decay, a.size), (2, 3, 5))
+        return np.fft.irfft(1.0 / np.fft.rfft(a, m), m)[: min(decay, length)]
+
 
 def assemble_sequence(
     unit: SampledSignal,
@@ -134,12 +153,15 @@ def multiplex(signals: Iterable[SampledSignal]) -> SampledSignal:
 
 
 def shape_spectrum(signal: SampledSignal, filt: ShapingFilter) -> SampledSignal:
-    """Run the signal through 1 / A(z) from initial rest."""
-    import scipy.signal  # here, not at the top: it alone takes ~1 s to import
+    """Run the signal through 1 / A(z) from initial rest.
 
-    shaped = scipy.signal.lfilter(
-        [1.0], np.concatenate([[1.0], filt.a]), signal.samples
-    )
+    The signal is convolved with filt.impulse_response, truncated where its
+    slowest pole has decayed to 1e-18 and capped at the signal's length, and
+    cut to that length.  So it matches the recursion y[n] = x[n] -
+    sum a_k y[n-k] up to rounding and that truncation.
+    """
+    x = signal.samples
+    shaped = fftconvolve(x, filt.impulse_response(x.size))[: x.size]
     return SampledSignal(shaped, signal.fs)
 
 
@@ -178,6 +200,16 @@ def coded_channels(
     list and the emitted signals as a lazy iterator, so a receiver, which
     compresses with the units only, assembles and shapes nothing.  A pulse
     buffer longer than the whole emission is refused before synthesis.
+
+    Shaping is linear and time-invariant, so the unit is shaped, not the
+    emission: each unit is convolved with filt.impulse_response (truncated
+    where its slowest pole has decayed to 1e-18, capped at the emitted
+    length, computed once when the first channel is emitted), assembled,
+    and cut to the unshaped emission's length, repetitions * period_no plus
+    the unit's tail past one period.  Where the response outlasts the
+    emission, the cap makes this the whole emission through the filter.
+    Assembly adds repetitions copies of the shaped unit, so a pole near the
+    unit circle costs more than a recursion over the emission would.
     """
     specs = [FvnSpec(sigma_t=sigma_t, fs=fs, seed=seed) for seed in seeds]
     emission = period_no * repetitions
@@ -188,13 +220,16 @@ def coded_channels(
             f"longer than the {emission}-sample emission (period_no x repetitions)"
         )
     units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
-    emitted = (
-        assemble_sequence(unit, codes, row, period_no, repetitions)
-        for row, unit in zip(code_rows, units)
-    )
-    if filt is not None:
-        emitted = (shape_spectrum(signal, filt) for signal in emitted)
-    return units, emitted
+
+    def emitted() -> Iterator[SampledSignal]:
+        length = emission + max([0] + [len(unit) - period_no for unit in units])
+        h = np.ones(1) if filt is None else filt.impulse_response(length)
+        for row, unit in zip(code_rows, units):
+            shaped = SampledSignal(fftconvolve(unit.samples, h), unit.fs)
+            signal = assemble_sequence(shaped, codes, row, period_no, repetitions)
+            yield SampledSignal(signal.samples[:length], unit.fs)
+
+    return units, emitted()
 
 
 def _reflection_to_poly(k: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from fvnlab import (
 )
 from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
 from fvnlab.fileio import read_json, read_wav, write_filter, write_wav
+from fvnlab.resample import fftconvolve
 
 FS = 44100.0
 
@@ -151,18 +152,24 @@ def test_measure_on_a_shaped_set_assembles_and_shapes_nothing(tmp_path, monkeypa
 
 def test_generated_channels_are_the_public_recipe(tmp_path):
     """align and measure rebuild the emission from the manifest, so generate
-    must write exactly what the public functions give for it."""
+    must write exactly what the public functions give for it: each unit
+    convolved with the filter's truncated impulse response, assembled, and
+    cut to the unshaped emission's length (12 periods plus the 4096-sample
+    pulse's tail past one period)."""
     gen, shape = tmp_path / "gen", tmp_path / "shape.json"
     write_filter(shape, design_slope_filter(-3.0, 44100.0))
     kw = dict(sigma_t=0.005, period_no=2205, reps=12, codes=2, seed=21)
     assert generate(gen, shape=shape, **kw) == 0
     codes, filt = build_code_matrix(2), ShapingFilter(read_json(shape))
+    length = 12 * 2205 + 4096 - 2205
+    h = filt.impulse_response(length)
     for i in range(2):
         spec = FvnSpec(sigma_t=0.005, fs=44100.0, seed=21 + i)
         unit = center_pulse(synthesize_unit_fvn(spec))
-        expected = shape_spectrum(assemble_sequence(unit, codes, i, 2205, 12), filt)
+        shaped = SampledSignal(fftconvolve(unit.samples, h), unit.fs)
+        expected = assemble_sequence(shaped, codes, i, 2205, 12).samples[:length]
         written = read_wav(gen / f"channel_{i}.wav").samples
-        assert np.array_equal(written, expected.samples.astype(np.float32))
+        assert np.array_equal(written, expected.astype(np.float32))
 
 
 def test_align_reports_injected_drift(tmp_path):
@@ -491,6 +498,32 @@ def test_drift_flag_that_stops_or_reverses_time_is_refused(tmp_path, capsys, ppm
     assert not out.exists()
 
 
+def test_drift_that_runs_out_of_source_is_refused(tmp_path, capsys):
+    """At 1e9 ppm time runs 1001 times fast: a 1.2 s plan would leave all
+    but 53 of its 52 920 recorded samples silent."""
+    gen, out = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    argv = ["simulate", gen, "--drift-ppm", "1e9", "--out-dir", out]
+    check_one_error_line(capsys, argv, "--drift-ppm", "52920", "4410")
+    assert not out.exists()
+
+
+def test_target_drift_that_runs_out_of_source_names_the_file(tmp_path, capsys):
+    """A record may lose at most one period (4410 samples) to a source that
+    runs out: of 52 920 samples, 92 000 ppm loses 4 458 and is refused,
+    90 000 ppm loses 4 370 and is accepted."""
+    gen, target = tmp_path / "gen", tmp_path / "target.json"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    for ppm, code in ((90000.0, 0), (92000.0, 1)):
+        doc = {"paths": [[1.0]], "drift": {"kind": "linear", "ppm": ppm}}
+        target.write_text(json.dumps(doc))
+        argv = ["simulate", gen, "--config", target, "--out-dir", tmp_path / "sim"]
+        if code:
+            check_one_error_line(capsys, argv, f"{target}: drift.ppm", "4458")
+        else:
+            assert run(*argv) == 0
+
+
 @pytest.mark.parametrize(
     "drift, names",
     [
@@ -596,10 +629,10 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
-    """Only shaping and filter design load scipy (scipy.signal and
-    scipy.optimize); WAV files and FFTs need numpy alone, so importing the
-    CLI loads no scipy module at all.  A fresh interpreter shows it, since
-    this test process imports scipy."""
+    """Only filter design loads scipy (scipy.optimize, in
+    design_slope_filter); WAV files, FFTs and shaping need numpy alone, so
+    importing the CLI loads no scipy module at all.  A fresh interpreter
+    shows it, since this test process imports scipy."""
     src = Path(fvnlab.__file__).resolve().parents[1]
     code = (
         "import sys, fvnlab.cli; "
@@ -618,7 +651,7 @@ def test_importing_the_cli_skips_scipy_signal_and_optimize():
 
 
 BLOCK_SCIPY = """
-import sys
+import json, sys
 
 class BlockScipy:
     def find_spec(self, name, path=None, target=None):
@@ -628,34 +661,59 @@ class BlockScipy:
 sys.meta_path.insert(0, BlockScipy())
 from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
 
-gen, sim, ali, meas, ana = sys.argv[1:]
-steps = [
-    ["generate", "--codes", "2", "--sigma-t", "0.005", "--period-no", "4410",
-     "--reps", "12", "--seed", "5", "--out-dir", gen],
-    ["simulate", gen, "--drift-ppm", "100", "--out-dir", sim],
-    ["align", sim + "/recording.wav", gen, "--out-dir", ali],
-    ["measure", ali + "/aligned.wav", gen, "--out-dir", meas],
-    ["analyze", meas + "/linear_ir.wav", "--truncate-ms", "3.2", "--out-dir", ana],
-]
-print([main(argv) for argv in steps])
+print([main(argv) for argv in json.loads(sys.argv[1])])
 """
 
 
-def test_unshaped_pipeline_runs_with_scipy_blocked(tmp_path):
-    """The README pipeline without --shape needs no scipy module: an import
-    hook that refuses every one of them changes no exit code."""
+def exit_codes_with_scipy_blocked(tmp_path, *extra_generate_flags):
+    """Exit codes of the README pipeline (generate, simulate with 100 ppm
+    drift, align, measure, analyze) in a fresh interpreter whose import
+    hook refuses every scipy module."""
     src = Path(fvnlab.__file__).resolve().parents[1]
-    dirs = [str(tmp_path / d) for d in ("gen", "sim", "ali", "meas", "ana")]
+    gen, sim, ali, meas, ana = (
+        str(tmp_path / d) for d in ("gen", "sim", "ali", "meas", "ana")
+    )
+    steps = [
+        ["generate", "--codes", "2", "--sigma-t", "0.005", "--period-no", "4410",
+         "--reps", "12", "--seed", "5", *map(str, extra_generate_flags),
+         "--out-dir", gen],
+        ["simulate", gen, "--drift-ppm", "100", "--out-dir", sim],
+        ["align", sim + "/recording.wav", gen, "--out-dir", ali],
+        ["measure", ali + "/aligned.wav", gen, "--out-dir", meas],
+        ["analyze", meas + "/linear_ir.wav", "--truncate-ms", "3.2",
+         "--out-dir", ana],
+    ]
     done = subprocess.run(
-        [sys.executable, "-c", BLOCK_SCIPY, *dirs],
+        [sys.executable, "-c", BLOCK_SCIPY, json.dumps(steps)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", done.stderr
+    return done.stdout.splitlines()[-1], done.stderr
+
+
+def test_unshaped_pipeline_runs_with_scipy_blocked(tmp_path):
+    """The README pipeline without --shape needs no scipy module: an import
+    hook that refuses every one of them changes no exit code."""
+    codes, stderr = exit_codes_with_scipy_blocked(tmp_path)
+    assert codes == "[0, 0, 0, 0, 0]", stderr
     assert (tmp_path / "ana" / "spectrum.csv").is_file()
+
+
+def test_shaped_pipeline_runs_with_scipy_blocked(tmp_path):
+    """Shaping needs numpy alone: a --shape file of fixed coefficients (two
+    poles at 0.8, 38 dB of range) takes generate, simulate with drift,
+    align and measure through with every scipy import refused."""
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps(two_poles(0.8)))
+    codes, stderr = exit_codes_with_scipy_blocked(tmp_path, "--shape", shape)
+    assert codes == "[0, 0, 0, 0, 0]", stderr
+    manifest = read_json(tmp_path / "gen" / "manifest.json")
+    assert manifest["shape"] == two_poles(0.8)
+    report = read_json(tmp_path / "ali" / "report.json")
+    assert report["drift_ppm"] == pytest.approx(100.0, abs=0.05)
 
 
 def riff(*chunks):
@@ -845,6 +903,27 @@ def test_shape_beyond_the_float32_range_is_refused(tmp_path, capsys, command):
         argv = [command, gen / "channel_0.wav", gen]
     names = ["shape", "104.0 dB", "90 dB"]
     check_one_error_line(capsys, [*argv, "--out-dir", out], *names)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "align"])
+@pytest.mark.parametrize(
+    "shape, names",
+    [
+        pytest.param([2.0], ["unstable filter"], id="unstable"),
+        pytest.param(two_poles(0.995), ["104.0 dB", "90 dB"], id="range"),
+    ],
+)
+def test_bad_manifest_shape_names_the_manifest_and_the_key(
+    tmp_path, capsys, command, shape, names
+):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    manifest = read_json(gen / "manifest.json")
+    manifest["shape"] = shape
+    (gen / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, gen / "channel_0.wav", gen, "--out-dir", out]
+    check_one_error_line(capsys, argv, f"{gen / 'manifest.json'}: shape: ", *names)
     assert not out.exists()
 
 

@@ -250,3 +250,58 @@ def test_slope_design_matches_the_freqz_residual(monkeypatch):
     designed = slope_filter(-3.0)
     monkeypatch.setattr(sequence, "_all_pole_db", freqz_db)
     assert np.array_equal(designed.a, design_slope_filter(-3.0, FS).a)
+
+
+def pole_near_the_range_limit():
+    """One pole at DC whose full-band range is just under the limit the CLI
+    accepts: r = 0.99994, the longest decay a shaped run can have."""
+    q = 10 ** ((MAX_SHAPE_RANGE_DB - 0.01) / 20)  # (1 + r) / (1 - r)
+    return ShapingFilter(np.array([-(q - 1) / (q + 1)]))
+
+
+def test_impulse_response_is_cut_at_the_decay_or_the_length():
+    """A pole at 0.5 decays to 1e-18 after 60 samples."""
+    filt = ShapingFilter(np.array([-0.5]))
+    h = filt.impulse_response(1000)
+    np.testing.assert_allclose(h, 0.5 ** np.arange(60), rtol=0, atol=1e-15)
+    assert filt.impulse_response(7).size == 7
+    assert np.array_equal(ShapingFilter(np.zeros(0)).impulse_response(9), [1.0])
+    # the cap does not shorten the transform: the kept samples stay unaliased
+    slow = pole_near_the_range_limit()
+    r = -slow.a[0]
+    h = slow.impulse_response(50000)
+    np.testing.assert_allclose(h, r ** np.arange(50000), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "which, period_no, reps",
+    [
+        ("-3 dB/oct", 2205, 12),
+        ("-6 dB/oct", 4410, 12),  # T = 26 082 fits in the emission
+        ("-6 dB/oct", 1000, 12),  # ... and here outlasts it
+        ("near-limit pole", 4410, 160),  # T ~ 6.5e5 fits
+        ("near-limit pole", 4410, 12),  # ... and here outlasts it
+    ],
+)
+def test_shaping_matches_lfilter_over_the_emission(which, period_no, reps):
+    """coded_channels shapes the unit and shape_spectrum convolves with the
+    truncated impulse response; both stay within 1e-12 of the peak of the
+    recursion scipy.signal.lfilter runs over the assembled emission."""
+    if which == "near-limit pole":
+        filt = pole_near_the_range_limit()
+        assert filt.range_db(FS) < MAX_SHAPE_RANGE_DB
+    else:
+        filt = slope_filter(float(which.split()[0]))
+    codes = build_code_matrix(2)
+    units, emitted = sequence.coded_channels(
+        0.005, FS, [3, 4], [0, 1], codes, period_no, reps, filt
+    )
+    a = np.concatenate([[1.0], filt.a])
+    for row, unit, got in zip([0, 1], units, emitted):
+        plain = assemble_sequence(unit, codes, row, period_no, reps)
+        expected = scipy.signal.lfilter([1.0], a, plain.samples)
+        peak = np.max(np.abs(expected))
+        assert len(got) == len(plain)
+        assert np.max(np.abs(got.samples - expected)) <= 1e-12 * peak
+        shaped = shape_spectrum(plain, filt).samples
+        assert np.max(np.abs(shaped - expected)) <= 1e-12 * peak
