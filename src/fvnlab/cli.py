@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
@@ -347,6 +348,7 @@ def _check_drift(source: str, target: SimTarget, drive: list, period_no: int) ->
 def cmd_measure(args) -> int:
     path, manifest, recorded = _read_recording(args)
     codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape")
+    start = time.perf_counter()
     if filt is not None:
         recorded = inverse_shape(recorded, filt)
     rows = [int(ch["code_row"]) for ch in manifest["channels"]]
@@ -360,6 +362,7 @@ def cmd_measure(args) -> int:
     )
     if len(units) > 1:  # the linear/nonlinear split needs several codes
         result = separate_nonlinear(result)
+    demultiplexed = time.perf_counter()
     out = _out_dir(args)
     fileio.write_wav(out / "linear_ir.wav", result.linear_ir)
     for row, ir in zip(rows, result.per_code_irs):
@@ -377,6 +380,10 @@ def cmd_measure(args) -> int:
             fileio.write_wav(out / f"deviation_{row}.wav", dev)
         report["deviation_rms"] = [float(r) for r in result.deviation_rms]
         report["pooled_deviation_rms"] = result.pooled_deviation_rms
+    report["timings_s"] = {
+        "demultiplex_s": demultiplexed - start,
+        "write_s": time.perf_counter() - demultiplexed,
+    }
     fileio.write_json(out / "report.json", report)
     print(
         f"wrote linear_ir.wav + {len(rows)} per-code IR(s) to {out} "
@@ -405,6 +412,7 @@ def cmd_analyze(args) -> int:
 def cmd_align(args) -> int:
     path, manifest, recorded = _read_recording(args)
     *_, emitted = _channels_from_manifest(manifest, f"{path}: shape")
+    start = time.perf_counter()
     reference = multiplex(emitted)
     try:
         delays = track_block_delays(reference, recorded, int(manifest["period_no"]))
@@ -412,7 +420,9 @@ def cmd_align(args) -> int:
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc
     del reference  # apply_warp's buffers come next
+    tracked = time.perf_counter()
     aligned = apply_warp(recorded, warp)
+    warped = time.perf_counter()
     fs = recorded.fs
     out = _out_dir(args)
     fileio.write_wav(out / "aligned.wav", aligned)
@@ -428,6 +438,11 @@ def cmd_align(args) -> int:
         "blocks": int(delays.lags.size),
         "blocks_used": int(np.count_nonzero(delays.used)),
         "lag_residual_rms_samples": delays.residual_rms,
+        "timings_s": {
+            "track_s": tracked - start,
+            "warp_s": warped - tracked,
+            "write_s": time.perf_counter() - warped,
+        },
     }
     fileio.write_json(out / "report.json", report)
     print(

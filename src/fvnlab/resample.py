@@ -6,22 +6,42 @@ collapses to a unit impulse, so on-grid evaluation is exact.  Taps and
 positions outside the signal read zeros; the signal itself is read, with no
 zero-padded copy.  Evaluation is blocked: cache-sized chunks of positions,
 with the taps in the inner loop over one-chunk vectors.
-resample_oversampled evaluates through a 2x upsampled copy, the one
-record-length buffer it adds besides the output.  The FFT helpers upsample2
-and fftconvolve use numpy.fft, the package's one FFT library, and scale and
-multiply their spectra in place.
+
+A long call splits its positions into one contiguous slice per available
+CPU (at most one per _MIN_SLICE positions, _MAX_WORKERS in all) and runs
+the slices at once in threads; numpy releases the GIL inside each vector
+operation.  Each output sample takes the same operations in the same order
+on any slice or chunk, so the output does not depend on the CPU count.
+Threads work in _THREAD_CHUNK chunks: with shorter ones their vector
+operations are too brief, and the threads spend their time handing the
+GIL back and forth.  One worker keeps the shorter _CHUNK, whose scratch is
+smaller.  The calling thread allocates every worker's scratch, and the
+workers allocate nothing of a chunk's length: glibc keeps what a thread
+allocates in that thread's own arena, which raises the process's peak
+memory.  resample_oversampled evaluates through a 2x upsampled copy, the
+one record-length buffer it adds besides the output, and doubles the
+positions chunk by chunk.
+
+The FFT helpers upsample2 and fftconvolve use numpy.fft, the package's one
+FFT library, and scale and multiply their spectra in place.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 HALF_TAPS = 32
-_CHUNK = 1 << 13
+_CHUNK = 1 << 13  # positions per chunk with one worker
+_THREAD_CHUNK = 1 << 16  # positions per chunk with several
+_MIN_SLICE = 4 * _THREAD_CHUNK  # keeps the scratch under 15 B per position
+_MAX_WORKERS = 8
 
 
 def resample_at(
-    x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS
+    x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS, *, _scale=1.0
 ) -> np.ndarray:
     """Evaluate x at (possibly fractional) sample positions.
 
@@ -30,12 +50,13 @@ def resample_at(
     (pi (f - k)) and the Hann factor's cosine expands by the addition
     theorem, so w_k = (-1)^k (a + c cos(pi k / H) + d sin(pi k / H)) / (f - k)
     with a = sin(pi f) / 2 pi, c = a cos(pi f / H) and d = a sin(pi f / H)
-    per position.  Each chunk of _CHUNK positions loops over the taps on
-    vectors that stay in cache.  The gather reads x itself with clamped
-    indices; only in a chunk whose taps reach past either end of x are the
-    taps off the signal then set to zero, which gives the same sums as a
-    zero-padded x.  Positions within 1e-15 of the grid, where w_k is 0 / 0,
-    read the sample, or zero off the signal.
+    per position.  Each chunk of positions loops over the taps on vectors
+    that stay in cache.  The gather reads x itself with clamped indices;
+    only in a chunk whose taps reach past either end of x are the taps off
+    the signal then set to zero, which gives the same sums as a zero-padded
+    x.  Positions within 1e-15 of the grid, where w_k is 0 / 0, read the
+    sample, or zero off the signal.  Positions must be finite.
+    resample_oversampled reads each position times _scale.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -43,57 +64,125 @@ def resample_at(
         raise ValueError("x and positions must be 1-D")
     if half_taps < 1:
         raise ValueError("half_taps must be >= 1")
+    if positions.size == 0:
+        return np.empty(0)
+    # NaN propagates through min and max; scaling may overflow to inf
+    if not np.isfinite(_scale * float(max(-positions.min(), positions.max()))):
+        raise ValueError("positions must be finite")
     if x.size == 0:  # np.take refuses an empty source; every tap reads zero
         return np.zeros(positions.size)
+    out = np.empty(positions.size)
+    workers = _workers(positions.size)
+    chunk = min(_CHUNK if workers == 1 else _THREAD_CHUNK, -(-positions.size // workers))
+    # per worker: frac, a, c, d, w, tmp, the tap indices and two masks
+    floats = np.empty((workers, 6, chunk))
+    indices = np.empty((workers, chunk), dtype=np.int64)
+    masks = np.empty((workers, 2, chunk), dtype=bool)
+    bounds = [i * positions.size // workers for i in range(workers + 1)]
+    slices = [
+        (x, positions[lo:hi], _scale, out[lo:hi], half_taps, (*f, i, *m))
+        for lo, hi, f, i, m in zip(bounds, bounds[1:], floats, indices, masks)
+    ]
+    if workers == 1:
+        _resample_chunks(*slices[0])
+        return out
+    errors = []
+
+    def run(*args):
+        try:
+            _resample_chunks(*args)
+        except BaseException as error:  # re-raised once every worker is joined
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=args) for args in slices]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _workers(count: int) -> int:
+    """Threads for count positions: one per available CPU, at most one per
+    _MIN_SLICE positions and _MAX_WORKERS in all."""
+    most = min(count // _MIN_SLICE, _MAX_WORKERS)
+    if most < 2:
+        return 1
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return min(most, len(cpus) if cpus else os.cpu_count() or 1)
+
+
+def _resample_chunks(x, positions, scale, out, half_taps, scratch) -> None:
+    """resample_at's arithmetic for one slice: out[i] is x at positions[i]
+    times scale, chunk by chunk in the scratch buffers' length, allocating
+    no array of that length."""
     taps = np.arange(-half_taps + 1, half_taps + 1)
     sign = np.where(taps % 2 == 0, 1.0, -1.0)
     cos_n = sign * np.cos(np.pi * taps / half_taps)
     sin_n = sign * np.sin(np.pi * taps / half_taps)
-    out = np.empty(positions.size)
+    size = scratch[0].size
+    # errstate is per thread, and a new thread starts with numpy's default
     with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, positions.size, _CHUNK):
-            pos = positions[lo : lo + _CHUNK]
-            base = np.floor(pos)
-            frac = pos - base
+        for lo in range(0, positions.size, size):
+            acc = out[lo : lo + size]
+            frac, a, c, d, w, tmp, idx, off, mask = (b[: acc.size] for b in scratch)
+            np.multiply(positions[lo : lo + size], scale, out=frac)
+            base = np.floor(frac, out=w)
+            frac -= base
             # Snap near-grid positions to frac 0; pos - floor(pos) even rounds
             # to exactly 1.0 for pos = -1e-20, which is the next sample.
-            up = frac > 1.0 - 1e-15
-            base[up] += 1.0
-            frac[up | (frac < 1e-15)] = 0.0
+            up = np.greater(frac, 1.0 - 1e-15, out=off)
+            np.add(base, 1.0, out=base, where=up)
+            up |= np.less(frac, 1e-15, out=mask)
+            np.copyto(frac, 0.0, where=up)
             # x index of tap 1 - H; clipping keeps the int64 cast defined
-            idx = np.clip(base, -half_taps - 1, x.size + half_taps).astype(np.int64)
+            np.clip(base, -half_taps - 1, x.size + half_taps, out=base)
+            np.copyto(idx, base, casting="unsafe")
             idx += 1 - half_taps
             edge = idx.min() < 0 or idx.max() + 2 * half_taps > x.size
             # sin(pi f) by reflection about 1/2: for f just under 1 the direct
             # pi * f cancels against pi, and the division by the nearest tap's
             # tiny f - k would blow that rounding error up by 1 / |f - k|.
-            a = np.sin(np.pi * np.minimum(frac, 1.0 - frac)) / (2.0 * np.pi)
-            c = a * np.cos(np.pi * frac / half_taps)
-            d = a * np.sin(np.pi * frac / half_taps)
-            minus_a = -a
-            acc = np.zeros(pos.size)
-            w, tmp = np.empty((2, pos.size))
+            np.subtract(1.0, frac, out=a)
+            np.minimum(frac, a, out=a)
+            a *= np.pi
+            np.sin(a, out=a)
+            a /= 2.0 * np.pi
+            for trig, into in ((np.cos, c), (np.sin, d)):
+                np.multiply(frac, np.pi, out=into)
+                into /= half_taps
+                trig(into, out=into)
+                into *= a
+            acc.fill(0.0)
             for j, k in enumerate(taps):
                 np.multiply(c, cos_n[j], out=w)
-                w += a if sign[j] > 0 else minus_a
+                if sign[j] > 0:
+                    w += a
+                else:  # w - a is w + (-a), rounded alike
+                    w -= a
                 np.multiply(d, sin_n[j], out=tmp)
                 w += tmp
                 np.subtract(frac, k, out=tmp)
                 w /= tmp
-                np.take(x, idx, out=tmp, mode="clip")
-                if edge:
-                    tmp[(idx < 0) | (idx >= x.size)] = 0.0
+                _gather(x, idx, edge, tmp, off)
                 w *= tmp
                 acc += w
                 idx += 1
-            on_grid = frac == 0.0  # acc is NaN there
-            idx = idx[on_grid] - half_taps - 1  # x index of tap 0
-            sample = np.take(x, idx, mode="clip")
-            if edge:
-                sample[(idx < 0) | (idx >= x.size)] = 0.0
-            acc[on_grid] = sample
-            out[lo : lo + _CHUNK] = acc
-    return out
+            on_grid = np.equal(frac, 0.0, out=mask)  # acc is NaN there
+            if on_grid.any():
+                idx -= half_taps + 1  # x index of tap 0
+                _gather(x, idx, edge, tmp, off)
+                np.copyto(acc, tmp, where=on_grid)
+
+
+def _gather(x, idx, edge, into, off) -> None:
+    """into = x[idx], zero where idx is off x; off is scratch."""
+    np.take(x, idx, out=into, mode="clip")
+    if edge:
+        np.copyto(into, 0.0, where=np.less(idx, 0, out=off))
+        np.copyto(into, 0.0, where=np.greater_equal(idx, x.size, out=off))
 
 
 def upsample2(x: np.ndarray) -> np.ndarray:
@@ -124,7 +213,7 @@ def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     on x directly, the kernel's rolloff shaves about a percent off
     compressed peaks.
     """
-    return resample_at(upsample2(x), 2.0 * positions)
+    return resample_at(upsample2(x), positions, _scale=2.0)
 
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -187,6 +187,22 @@ def test_align_reports_injected_drift(tmp_path):
     assert len(rows) > 10
 
 
+def test_align_and_measure_report_their_timings(tmp_path):
+    gen, sim, ali, meas = (tmp_path / d for d in ("gen", "sim", "ali", "meas"))
+    assert generate(gen, sigma_t=0.005, period_no=2205, reps=12, codes=2) == 0
+    assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
+    assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
+    assert run("measure", ali / "aligned.wav", gen, "--out-dir", meas) == 0
+    for out, keys in (
+        (ali, ["track_s", "warp_s", "write_s"]),
+        (meas, ["demultiplex_s", "write_s"]),
+    ):
+        timings = read_json(out / "report.json")["timings_s"]
+        assert sorted(timings) == keys
+        for value in timings.values():
+            assert isinstance(value, float) and np.isfinite(value) and value >= 0.0
+
+
 def test_align_long_multiplexed_record_sharpens_drift(tmp_path):
     gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=24, codes=2, seed=11) == 0

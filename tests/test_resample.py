@@ -1,3 +1,8 @@
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -213,6 +218,97 @@ def test_resample_validation():
         resample_at(np.ones((2, 2)), np.array([0.0]))
     with pytest.raises(ValueError):
         resample_at(np.ones(10), np.array([0.0]), half_taps=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_are_refused(bad):
+    """inf would read NaN and NaN would pass through, where every other
+    position off the signal reads zero."""
+    positions = np.array([3.5, bad, 1e300])
+    with pytest.raises(ValueError, match="positions must be finite"):
+        resample_at(np.arange(10.0), positions)
+    with pytest.raises(ValueError, match="positions must be finite"):
+        resample_oversampled(np.arange(10.0), positions)
+
+
+def test_positions_that_double_past_the_float_range_are_refused():
+    assert resample_at(np.arange(10.0), np.array([1e308]))[0] == 0.0
+    with pytest.raises(ValueError, match="positions must be finite"):
+        resample_oversampled(np.arange(10.0), np.array([-1e308]))
+
+
+@pytest.mark.parametrize("half_taps", [5, 32])
+def test_threaded_slices_match_one_worker_bit_for_bit(monkeypatch, half_taps):
+    """Three slices of several thread chunks each, in three threads that
+    switch as often as they can; the first and the last slice hold
+    positions before 0, past the end and far outside, -1e-20 and on the
+    grid, between a linear drift and random positions."""
+    rng = np.random.default_rng(40 + half_taps)
+    n = 5000
+    x = rng.standard_normal(n)
+    edges = np.array(
+        [-0.5, -3.7, -half_taps - 0.25, -1e-20, 0.0, 7.0, n - 1.0, n - 0.5,
+         n + 2.0, n + half_taps + 0.5, -1e9, 1e9, 1e300, -1e300]
+    )
+    drift = np.arange(-100, n + 100) * (1.0 + 20e-6)
+    spread = rng.uniform(-2.0 * half_taps, n + 2.0 * half_taps, 3 * resample._THREAD_CHUNK)
+    spread[::97] = np.round(spread[::97])
+    positions = np.concatenate([edges, drift, spread, drift[::-1], edges])
+    monkeypatch.setattr(resample, "_workers", lambda count: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = resample_at(x, positions, half_taps)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(resample, "_workers", lambda count: 1)
+    serial = resample_at(x, positions, half_taps)
+    assert threaded.tobytes() == serial.tobytes()
+    assert threaded.tobytes() == padded_resample_at(x, positions, half_taps).tobytes()
+
+
+def test_a_failing_slice_raises_once_every_worker_is_joined(monkeypatch):
+    kernel = resample._resample_chunks
+    lock = threading.Lock()
+    calls = []
+
+    def fail_on_the_second_slice(*args):
+        with lock:
+            calls.append(args)
+            second = len(calls) == 2
+        if second:
+            raise RuntimeError("slice failed")
+        kernel(*args)
+
+    monkeypatch.setattr(resample, "_workers", lambda count: 3)
+    monkeypatch.setattr(resample, "_resample_chunks", fail_on_the_second_slice)
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        resample_at(np.ones(100), np.linspace(0.0, 99.0, 3 * resample._THREAD_CHUNK))
+    assert len(calls) == 3
+    assert threading.active_count() == running
+
+
+def test_a_traced_oversampled_call_records_one_span_each():
+    """The benchmark's tracer keeps one span stack for every thread, so the
+    workers must not call the traced public functions."""
+    import fvnlab.cli  # noqa: F401  (install wraps every module it lists)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    n = 1_000_000
+    x = np.random.default_rng(6).standard_normal(n)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        resample.resample_oversampled(x, np.arange(n) * (1.0 + 20e-6))
+    finally:
+        tracer.uninstall()
+    names = sorted(span[0] for span in tracer.spans)
+    assert names == ["resample.resample_at", "resample.upsample2"]
+    assert dict(tracer.counts) == {(None, "resample.resample_at.positions"): n}
 
 
 def test_upsample2_keeps_the_original_samples():
