@@ -263,7 +263,9 @@ def cmd_generate(args) -> int:
         ],
         "shape": filt.a.tolist() if filt is not None else None,
     }
+    start = time.perf_counter()
     *_, emitted = _channels_from_manifest(manifest, cfg["shape"], codes)
+    synthesized = time.perf_counter()
     # checked here, not with the flags, so the pulse-length check (which names
     # sigma_t too) comes first; nothing is assembled or written yet
     if manifest["fs"] > fileio.MAX_WAV_RATE:
@@ -279,12 +281,25 @@ def cmd_generate(args) -> int:
             yield signal
 
     if len(codes) > 1:
-        fileio.write_wav(out / "multiplexed.wav", multiplex(written()))
+        drive = multiplex(written())
+        fileio.write_wav(out / "multiplexed.wav", drive)
     else:
-        next(written())  # the one channel; there is nothing to mix
+        drive = next(written())  # the one channel; there is nothing to mix
+    # the file's float32 samples round the peak as they round every sample
+    peak = float(np.float32(np.max(np.abs(drive.samples))))
+    report = {
+        "emitted_peak": peak,
+        "headroom_db": float(-20.0 * np.log10(peak)),
+        "shape_range_db": None if filt is None else filt.range_db(manifest["fs"]),
+        "timings_s": {
+            "synthesize_s": synthesized - start,
+            "emit_s": time.perf_counter() - synthesized,
+        },
+    }
     fileio.write_json(out / "manifest.json", manifest)
+    fileio.write_json(out / "report.json", report)
     extra = " + multiplexed.wav" if len(codes) > 1 else ""
-    print(f"wrote {len(codes)} channel(s){extra} and manifest.json to {out}")
+    print(f"wrote {len(codes)} channel(s){extra}, manifest and report to {out}")
     return 0
 
 

@@ -232,14 +232,6 @@ def coded_channels(
     return units, emitted()
 
 
-def _reflection_to_poly(k: np.ndarray) -> np.ndarray:
-    """Levinson step-up: reflection coefficients to a_1..a_p."""
-    a = np.zeros(0)
-    for km in k:
-        a = np.concatenate([a + km * a[::-1], [km]])
-    return a
-
-
 def design_slope_filter(
     db_per_octave: float,
     fs: float,
@@ -249,38 +241,32 @@ def design_slope_filter(
 ) -> ShapingFilter:
     """Fit an all-pole filter to a constant dB/octave magnitude slope.
 
-    Least squares on a log-spaced frequency grid over [f_lo, f_hi], with
-    the absolute gain left free (only the slope matters; shaping gain is
-    arbitrary).  The filter is parameterized by reflection coefficients
-    mapped through tanh, so every iterate has its poles inside the unit
-    circle, and the optimization climbs a ladder of increasing orders, each
-    warm-started from the previous solution, which keeps the final
-    high-order fit from wandering into poor local minima.
+    Weighted least squares of the dB response on a log-spaced grid over
+    [f_lo, f_hi], with the gain free (only the slope matters) and solved in
+    closed form as the weighted mean misfit.  Flat shelves at a third of
+    the in-band weight cover [0, f_lo / 4] at the slope's level there and
+    [f_hi, fs/2] at its level at f_hi, leaving two octaves for the turn.  A
+    misfit at DC (Nyquist) more than 2 dB above that at f_lo (f_hi) is
+    penalised at ten times the in-band weight, since stable poles alone
+    bound no gain.
 
-    Stable poles alone do not bound the gain, so the fit also covers the
-    rest of the band [0, fs/2] with flat shelves at a third of the in-band
-    weight: below f_lo / 4 at the slope's level there, above f_hi at its
-    level at f_hi, with the octaves between f_lo / 4 and f_lo left free
-    for the turn.  For falling slopes down to -6 dB/octave at the default
-    order, the gain at DC then lies between the gain at f_lo and
-    2 * |db_per_octave| dB above it, and the gain at Nyquist at the gain at
-    f_hi, each to within 3 dB; so the full-band range stays close to the
-    in-band one.  A monic minimum-phase A(z) has a mean log-gain of 0 dB
-    across the band, which then bounds the emitted peak as well.  The fit
-    is not convex: steeper slopes can land on a solution with a resonance
-    of 20 dB or more outside the fitted band, so check magnitude_db over
-    [0, fs/2].
+    The start is convex: Levinson-Durbin linear prediction on the inverse
+    FFT of the target power on a 2^18-point grid, minimum phase by
+    construction.  At most 20 damped Gauss-Newton (Levenberg-Marquardt)
+    steps on a_1..a_p refine it; a step is kept only if A stays minimum
+    phase and the residual falls.  For falling slopes down to -12 dB/octave
+    at the default order and band, the gain at DC then lies between the
+    gain at f_lo and 2 * |db_per_octave| dB above it, and the gain at
+    Nyquist at the gain at f_hi, each within 3 dB.  So the full-band range
+    stays close to the in-band one, and a monic minimum-phase A(z), with a
+    mean log-gain of 0 dB, bounds the emitted peak too.
 
     An all-pole response has no zeros to level off with, so it tracks a
-    fractional slope as a staircase of gentle resonances; expect a maximum
-    deviation around 1 dB at the default order over the default band.
-
-    Only flat and falling slopes (db_per_octave <= 0) are designed.  A
-    rising slope is out of reach for an all-pole filter (+3 and +6 dB/octave
-    miss by 4.4 to 12 dB), so a positive db_per_octave raises ValueError.
+    fractional slope as a staircase of gentle resonances (about 1 dB of
+    maximum deviation at the default order and band).  A rising slope is
+    out of reach (+3 and +6 dB/octave miss by 4.4 to 12 dB), so a positive
+    db_per_octave raises ValueError.
     """
-    import scipy.optimize  # here, not at the top: only the design needs it
-
     if db_per_octave > 0:
         raise ValueError(
             f"db_per_octave must be <= 0, got {db_per_octave}: an all-pole "
@@ -290,6 +276,10 @@ def design_slope_filter(
         raise ValueError("order must be >= 1")
     if not 0 < f_lo < f_hi < fs / 2:
         raise ValueError("need 0 < f_lo < f_hi < fs / 2")
+
+    def slope_db(f: np.ndarray) -> np.ndarray:
+        return db_per_octave * np.log2(np.clip(f, f_lo / 4, f_hi) / f_hi)
+
     n_grid = 384  # in-band fit points; each shelf gets an eighth as many
     n_shelf = n_grid // 8
     freqs = np.concatenate(
@@ -299,30 +289,39 @@ def design_slope_filter(
             np.linspace(f_hi, fs / 2, n_shelf + 1)[1:],
         ]
     )
-    target = db_per_octave * np.log2(np.clip(freqs, f_lo / 4, f_hi) / f_hi)
-    weight = np.concatenate(
-        [np.full(n_shelf, 0.3), np.ones(n_grid), np.full(n_shelf, 0.3)]
-    )
-    # Slightly inside +-1 so saturated coefficients cannot push a pole onto
-    # the unit circle through rounding (steep slopes want a pole at DC).
-    # This keeps the poles inside but bounds no gain: A(1) = prod(1 + k_m)
-    # and A(-1) = prod(1 + (-1)^m k_m) still come near 0 (twenty factors
-    # near 0.25 make 1e-12); the shelves above keep them in range.
-    squash = 0.9995
+    target = slope_db(freqs)
+    weight = np.repeat([0.3, 1.0, 0.3], [n_shelf, n_grid, n_shelf])
+    shelf, edge = [0, -1], [n_shelf, n_shelf + n_grid - 1]  # DC, Nyquist
 
-    def residual(theta: np.ndarray, p: int) -> np.ndarray:
-        a = _reflection_to_poly(squash * np.tanh(theta[:p]))
-        return weight * (_all_pole_db(a, freqs, fs) + theta[p] - target)
+    def residual(a: np.ndarray) -> np.ndarray:
+        level = _all_pole_db(a, freqs, fs)
+        gain = np.sum(weight**2 * (target - level)) / np.sum(weight**2)
+        misfit = level + gain - target
+        rise = misfit[shelf] - misfit[edge] - 2.0
+        return np.concatenate([weight * misfit, 10.0 * np.maximum(rise, 0.0)])
 
-    ladder = [p for p in (4, 8, 12, 16, 20, 24, 32, 40) if p < order] + [order]
-    theta = np.array([np.mean(target)])
-    prev = 0
-    for p in ladder:
-        start = np.zeros(p + 1)
-        start[:prev] = theta[:prev]
-        start[p] = theta[prev]
-        fit = scipy.optimize.least_squares(
-            residual, start, args=(p,), method="lm", max_nfev=40000
-        )
-        theta, prev = fit.x, p
-    return ShapingFilter(_reflection_to_poly(squash * np.tanh(theta[:order])))
+    r = np.fft.irfft(10.0 ** (slope_db(np.fft.rfftfreq(2**18, 1.0 / fs)) / 10.0))
+    a, err = np.zeros(0), r[0]
+    for m in range(order):
+        k = -(r[m + 1] + a @ r[m:0:-1]) / err
+        a = np.concatenate([a + k * a[::-1], [k]])
+        err *= 1.0 - k * k
+
+    # d(20 log10 |1 / A|) / d a_k = -(20 / ln 10) Re(z^-k / A), plus the gain
+    zk = np.exp(-2j * np.pi * np.outer(freqs / fs, np.arange(1, order + 1)))
+    res = residual(a)
+    damping = 1e-3
+    for _ in range(20):
+        dfit = -(20.0 / np.log(10.0)) * (zk / (1.0 + zk @ a)[:, None]).real
+        dfit = np.column_stack([dfit, np.ones(freqs.size)])
+        drise = 10.0 * (res[-2:] > 0)[:, None] * (dfit[shelf] - dfit[edge])
+        jac = np.vstack([weight[:, None] * dfit, drise])
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), jac.T @ res)
+        trial = a - step[:order]
+        trial_res = residual(trial) if _is_minimum_phase(trial) else None
+        if trial_res is not None and trial_res @ trial_res < res @ res:
+            a, res, damping = trial, trial_res, damping / 10
+        else:
+            damping *= 10
+    return ShapingFilter(a)

@@ -203,6 +203,37 @@ def test_align_and_measure_report_their_timings(tmp_path):
             assert isinstance(value, float) and np.isfinite(value) and value >= 0.0
 
 
+def check_generate_report(gen, drive, filt):
+    """report.json beside the manifest: the peak and headroom of `drive`,
+    the file that drives the target, the range of `filt` and the timings."""
+    report = read_json(gen / "report.json")
+    peak = float(np.max(np.abs(read_wav(gen / drive).samples)))
+    assert report["emitted_peak"] == peak
+    assert report["headroom_db"] == pytest.approx(-20.0 * np.log10(peak), abs=1e-12)
+    if filt is None:
+        assert report["shape_range_db"] is None
+    else:
+        assert report["shape_range_db"] == filt.range_db(FS)
+    assert sorted(report["timings_s"]) == ["emit_s", "synthesize_s"]
+    for value in report["timings_s"].values():
+        assert isinstance(value, float) and np.isfinite(value) and value >= 0.0
+
+
+def test_generate_reports_the_shaped_mix(tmp_path):
+    gen, shape = tmp_path / "gen", tmp_path / "shape.json"
+    filt = ShapingFilter(np.array(two_poles(0.8)))
+    write_filter(shape, filt)
+    kw = dict(sigma_t=0.005, period_no=2205, reps=12, codes=2, shape=shape)
+    assert generate(gen, **kw) == 0
+    check_generate_report(gen, "multiplexed.wav", filt)
+
+
+def test_generate_reports_the_unshaped_channel(tmp_path):
+    gen = tmp_path / "gen"
+    assert generate(gen, sigma_t=0.005, period_no=2205, reps=12) == 0
+    check_generate_report(gen, "channel_0.wav", None)
+
+
 def test_align_long_multiplexed_record_sharpens_drift(tmp_path):
     gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=24, codes=2, seed=11) == 0
@@ -645,13 +676,13 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
-    """Only filter design loads scipy (scipy.optimize, in
-    design_slope_filter); WAV files, FFTs and shaping need numpy alone, so
-    importing the CLI loads no scipy module at all.  A fresh interpreter
-    shows it, since this test process imports scipy."""
+    """WAV files, FFTs, shaping and filter design need numpy alone, so
+    importing the CLI and designing a slope filter load no scipy module at
+    all.  A fresh interpreter shows it, since this test process imports
+    scipy."""
     src = Path(fvnlab.__file__).resolve().parents[1]
     code = (
-        "import sys, fvnlab.cli; "
+        "import sys, fvnlab.cli; fvnlab.design_slope_filter(-3.0, 44100.0); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -681,11 +712,24 @@ print([main(argv) for argv in json.loads(sys.argv[1])])
 """
 
 
+def run_with_scipy_blocked(steps):
+    """Exit codes of `main` on each argv of `steps`, and stderr, in a fresh
+    interpreter whose import hook refuses every scipy module."""
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY, json.dumps(steps)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1], done.stderr
+
+
 def exit_codes_with_scipy_blocked(tmp_path, *extra_generate_flags):
     """Exit codes of the README pipeline (generate, simulate with 100 ppm
-    drift, align, measure, analyze) in a fresh interpreter whose import
-    hook refuses every scipy module."""
-    src = Path(fvnlab.__file__).resolve().parents[1]
+    drift, align, measure, analyze) with every scipy import refused."""
     gen, sim, ali, meas, ana = (
         str(tmp_path / d) for d in ("gen", "sim", "ali", "meas", "ana")
     )
@@ -699,15 +743,7 @@ def exit_codes_with_scipy_blocked(tmp_path, *extra_generate_flags):
         ["analyze", meas + "/linear_ir.wav", "--truncate-ms", "3.2",
          "--out-dir", ana],
     ]
-    done = subprocess.run(
-        [sys.executable, "-c", BLOCK_SCIPY, json.dumps(steps)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1], done.stderr
+    return run_with_scipy_blocked(steps)
 
 
 def test_unshaped_pipeline_runs_with_scipy_blocked(tmp_path):
@@ -716,6 +752,13 @@ def test_unshaped_pipeline_runs_with_scipy_blocked(tmp_path):
     codes, stderr = exit_codes_with_scipy_blocked(tmp_path)
     assert codes == "[0, 0, 0, 0, 0]", stderr
     assert (tmp_path / "ana" / "spectrum.csv").is_file()
+
+
+def test_selftest_passes_with_scipy_blocked():
+    """Every criterion runs on numpy alone, criterion 07's slope design
+    included: selftest exits 0 with every scipy import refused."""
+    codes, stderr = run_with_scipy_blocked([["selftest"]])
+    assert codes == "[0]", stderr
 
 
 def test_shaped_pipeline_runs_with_scipy_blocked(tmp_path):

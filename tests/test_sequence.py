@@ -202,6 +202,60 @@ def test_zero_slope_fit_is_flat():
     assert np.max(mags) - np.min(mags) < 0.01
 
 
+@pytest.mark.parametrize("db_per_octave, fs", [(-9.0, 44100.0), (-12.0, 48000.0)])
+def test_steep_slopes_keep_their_shelves(db_per_octave, fs):
+    """Beyond -6 dB/octave the design still levels off outside [f_lo, f_hi]
+    as documented, with no resonance at Nyquist or pole run-away at DC."""
+    filt = design_slope_filter(db_per_octave, fs)
+    dc, lo, hi, nyquist = filt.magnitude_db(np.array([0.0, 50.0, 10000.0, fs / 2]), fs)
+    assert abs(nyquist - hi) <= 3.0
+    assert -3.0 <= dc - lo <= 2.0 * abs(db_per_octave) + 3.0
+
+
+# a_1..a_32 of the -3 and -6 dB/octave designs at 44.1 kHz as an earlier
+# optimizer found them (scipy least squares on tanh-mapped reflection
+# coefficients, climbing an order ladder)
+EARLIER_SLOPE_DESIGNS = {
+    -3.0: [
+        -0.4057823981094899, -0.20312366270909443, -0.06897855376023271,
+        -0.02421946759629475, -0.026276733822251444, -0.023226148010387696,
+        -0.017893097473293464, -0.013102583998975584, -0.012720455031302104,
+        -0.006317441888857531, -0.006497836373927761, -0.008756620866718192,
+        -0.010670028628802593, -0.002185079774037148, -0.000801128754512152,
+        -0.005534919243561513, -0.010971648609695022, -0.0017126556473172395,
+        0.003091740209784836, -0.0023362976530011503, -0.01222973789255872,
+        -0.003078313212617863, 0.0067398478389497545, 0.0013197060430863885,
+        -0.015180368618029271, -0.005857060705787573, 0.013206537721016239,
+        0.005562415740045396, -0.026923810186595495, -0.006392089601469206,
+        0.04912640305383436, -0.06813716165777345,
+    ],
+    -6.0: [
+        -0.8065531305292672, -0.2567543485578993, 0.023120912422878597,
+        0.059509000542407466, 0.0026623345119141705, -0.024889979095855892,
+        -0.006476219661439871, 0.012208633308460198, 0.0065148589547515635,
+        -0.006512545526603825, -0.005863935157250574, 0.003155348675763595,
+        0.0050199784168567345, -0.0013458505477344242, -0.004156964486356389,
+        5.305394994621941e-05, 0.0034110250200604553, 0.0005957859429109218,
+        -0.0026919803907073563, -0.001135505749024882, 0.002149259371176974,
+        0.0013024144036056617, -0.0016415720421430646, -0.0015148284067243026,
+        0.0013375409111536386, 0.0014631534888846992, -0.0011337841245101538,
+        -0.0015472197266583796, 0.001265788222892727, 0.0012073537610070545,
+        -0.002455095033636197, 0.0014601512615244096,
+    ],
+}
+
+
+@pytest.mark.parametrize("db_per_octave", [-3.0, -6.0])
+def test_slope_design_matches_the_earlier_optimum(db_per_octave):
+    """The design reaches the optimum the earlier optimizer found: the same
+    magnitude within 1e-3 dB over [0, fs/2], up to the free gain."""
+    freqs = np.linspace(0.0, FS / 2, 2**14 + 1)
+    earlier = ShapingFilter(np.array(EARLIER_SLOPE_DESIGNS[db_per_octave]))
+    diff = slope_filter(db_per_octave).magnitude_db(freqs, FS)
+    diff -= earlier.magnitude_db(freqs, FS)
+    assert np.max(np.abs(diff - np.mean(diff))) < 1e-3
+
+
 def test_shaping_filter_validation():
     with pytest.raises(ValueError):
         ShapingFilter(np.array([-2.5]))  # pole at 2.5
