@@ -6,18 +6,8 @@ converter clock-drift alignment, plus a simulation harness to exercise the
 whole chain.
 """
 
-from .align import (
-    AnalyticProbe,
-    BlockDelays,
-    PhaseTrajectory,
-    WarpMap,
-    apply_warp,
-    block_lags,
-    build_probe,
-    build_warp_map,
-    track_block_delays,
-    track_phase,
-)
+from . import fileio
+from .align import BlockDelays, WarpMap, apply_warp, block_lags, track_block_delays
 from .codes import build_code_matrix, verify_orthogonality
 from .fvn import (
     SIX_TERM_COEFFS,
@@ -56,13 +46,11 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticProbe",
     "BlockDelays",
     "DriftSpec",
     "FvnSpec",
     "MeasurementResult",
     "NoiseSpec",
-    "PhaseTrajectory",
     "PowerSpectrum",
     "SIX_TERM_COEFFS",
     "SampledSignal",
@@ -75,8 +63,6 @@ __all__ = [
     "assemble_sequence",
     "block_lags",
     "build_code_matrix",
-    "build_probe",
-    "build_warp_map",
     "center_pulse",
     "coded_channels",
     "demultiplex",
@@ -95,6 +81,5 @@ __all__ = [
     "synthesize_unit_fvn",
     "third_octave_smooth",
     "track_block_delays",
-    "track_phase",
     "verify_orthogonality",
 ]

@@ -10,11 +10,13 @@ block-sized buffers only.  Resampling the recording through the warp puts
 both on a common clock.
 
 Fundamental-phase tracking (build_probe, track_phase, build_warp_map) is
-the paper's method; no command or criterion runs it.  The repetition rate
-puts a strong line at f_o = fs / period_no, a complex probe selects that
-line, its instantaneous frequency integrates to a phase trajectory, and
-matching the trajectory of a recording against the trajectory of the
-reference gives the time warp.
+the paper's method; no command or criterion runs it, and the package root
+does not export it.  It stays only because the benchmark's layer tracer
+times track_phase and build_warp_map, and is reachable only as
+fvnlab.align.*.  The repetition rate puts a strong line at
+f_o = fs / period_no, a complex probe selects that line, its instantaneous
+frequency integrates to a phase trajectory, and matching the trajectory of
+a recording against the trajectory of the reference gives the time warp.
 """
 
 from __future__ import annotations
@@ -82,26 +84,6 @@ class WarpMap:
             raise ValueError("warp map must be strictly increasing on both axes")
         object.__setattr__(self, "t_ad", t_ad)
         object.__setattr__(self, "t_da", t_da)
-
-    def deviation(self) -> np.ndarray:
-        """t_da - t_ad: the accumulated clock offset at each grid point."""
-        return self.t_da - self.t_ad
-
-    def linear_fit(self) -> tuple[float, float]:
-        """(slope, intercept) of t_da as a function of t_ad.
-
-        Least squares in closed form on the centred t_ad and the centred
-        deviation, whose small scale keeps the intercept from cancelling;
-        it holds two arrays of the map's length, where np.polyfit holds
-        about five.
-        """
-        t_mean = self.t_ad.mean()
-        centred = self.t_ad - t_mean
-        dev = self.deviation()
-        dev_mean = dev.mean()
-        dev -= dev_mean
-        tilt = np.dot(centred, dev) / np.dot(centred, centred)
-        return float(1.0 + tilt), float(dev_mean - tilt * t_mean)
 
 
 def build_probe(f_o: float, c_mag: float, fs: float) -> AnalyticProbe:
