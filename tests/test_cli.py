@@ -923,6 +923,21 @@ def test_plan_beyond_a_wav_file_is_refused_before_assembly(
     assert not out.exists()
 
 
+def test_sixteen_code_plan_beyond_a_wav_file_is_refused_before_assembly(
+    tmp_path, capsys, monkeypatch
+):
+    """16 codes need 32 772 periods; at 44 100 samples each that is
+    1 445 245 200 samples, about 11.6 GB per float64 channel, so the
+    refusal must come before a channel exists."""
+    monkeypatch.setattr(sequence, "assemble_sequence", refuse_assembly)
+    out = tmp_path / "gen"
+    argv = ["generate", "--codes", 16, "--period-no", 44100, "--reps", 32772]
+    check_one_error_line(
+        capsys, [*argv, "--out-dir", out], "1445245200", "1073741811"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "measure", "align"])
 def test_wav_limit_counts_the_pulse_tail(tmp_path, capsys, monkeypatch, command):
     """12 periods of 1000 samples and a 4096-sample pulse emit 15096

@@ -316,7 +316,7 @@ def test_upsample2_keeps_the_original_samples():
     x = rng.standard_normal(512)
     y = upsample2(x)
     assert y.size == 1024
-    assert np.max(np.abs(y[::2] - x)) < 1e-12
+    assert np.array_equal(y[::2], x)
 
 
 def test_upsample2_spectrum_stays_in_the_lower_half_band():
@@ -327,10 +327,11 @@ def test_upsample2_spectrum_stays_in_the_lower_half_band():
     assert np.max(spec[257:]) < 1e-12 * np.max(spec)
 
 
-@pytest.mark.parametrize("n", [1155, 4928, 52920])
+@pytest.mark.parametrize("n", [1155, 4928, 52920, 2_647_563])
 def test_upsample2_matches_scipy_at_its_fast_complex_length(n):
-    """The lengths are 11-smooth but not 5-smooth, so a 5-smooth transform
-    length would change the result; 1155 is odd and has no Nyquist bin."""
+    """1155, 4928 and 52920 are 11-smooth but not 5-smooth, so a 5-smooth
+    transform length would change the result; 1155 is odd and has no
+    Nyquist bin.  2 647 563, the long benchmark record, pads to 2 654 208."""
     x = np.random.default_rng(n).standard_normal(n)
     m = scipy.fft.next_fast_len(n)
     spectrum = scipy.fft.rfft(x, m)
@@ -339,7 +340,9 @@ def test_upsample2_matches_scipy_at_its_fast_complex_length(n):
     if m % 2 == 0:
         padded[m // 2] *= 0.5
     expected = scipy.fft.irfft(padded, 2 * m) * 2.0
-    assert upsample2(x).tobytes() == expected.tobytes()
+    got = upsample2(x)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_upsample2_validation():
@@ -358,6 +361,49 @@ def test_fftconvolve_matches_scipy(n_kernel):
     expected = scipy.signal.fftconvolve(x, kernel)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+# 1564 taps: the long benchmark's room FIR, whose 16384-point blocks step
+# by 14821 samples; 20 such steps and one sample leave a one-sample block
+@pytest.mark.parametrize(
+    "n, n_kernel", [(300_000, 1564), (300_000, 4096), (20 * 14821 + 1, 1564)]
+)
+def test_fftconvolve_in_blocks_matches_scipy(n, n_kernel):
+    rng = np.random.default_rng(n + n_kernel)
+    x = rng.standard_normal(n)
+    kernel = rng.standard_normal(n_kernel)
+    for a, b in ((x, kernel), (kernel, x)):
+        got = fftconvolve(a, b)
+        expected = scipy.signal.fftconvolve(a, b)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n_kernel, blocked", [(9600, True), (9601, False)])
+def test_fftconvolve_switches_to_blocks_below_a_quarter_of_the_one_shot_length(
+    monkeypatch, n_kernel, blocked
+):
+    """On 300 000 samples, 9600 taps take 76 800-point blocks against a
+    303 750-point product; 9601 taps would take 77 760 against 311 040,
+    so they keep the one product and scipy's exact arithmetic."""
+    blocks = []
+    overlap_add = resample._overlap_add
+
+    def spy(long, short, block):
+        blocks.append(block)
+        return overlap_add(long, short, block)
+
+    monkeypatch.setattr(resample, "_overlap_add", spy)
+    rng = np.random.default_rng(n_kernel)
+    x = rng.standard_normal(300_000)
+    kernel = rng.standard_normal(n_kernel)
+    got = fftconvolve(x, kernel)
+    expected = scipy.signal.fftconvolve(x, kernel)
+    assert blocks == ([76_800] if blocked else [])
+    if blocked:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    else:
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("real", [True, False])
