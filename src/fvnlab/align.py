@@ -368,19 +368,25 @@ def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
     Output sample m holds the input evaluated at the capture time that maps
     to playback time m / fs, so the result is what an ideal converter on the
     playback clock would have recorded.  The warp must cover the whole
-    signal span, as BlockDelays.warp does.
+    signal span, as BlockDelays.warp does.  The positions are built only
+    once the recording is upsampled, so they do not exist while its
+    transforms run.
     """
     n = len(signal)
-    t_out = np.arange(n, dtype=np.float64)
-    t_out /= signal.fs
+    end = (n - 1) / signal.fs  # the last of the output times below
     eps = 0.5 / signal.fs
-    if warp.t_da[0] > t_out[0] + eps or warp.t_da[-1] < t_out[-1] - eps:
+    if warp.t_da[0] > eps or warp.t_da[-1] < end - eps:
         raise ValueError(
             "warp map does not cover the signal span "
             f"([{warp.t_da[0]:.6f}, {warp.t_da[-1]:.6f}] s versus "
-            f"[0, {t_out[-1]:.6f}] s); build it over the whole span"
+            f"[0, {end:.6f}] s); build it over the whole span"
         )
-    positions = np.interp(t_out, warp.t_da, warp.t_ad)
-    del t_out
-    positions *= signal.fs
+
+    def positions():
+        t_out = np.arange(n, dtype=np.float64)
+        t_out /= signal.fs
+        t_ad = np.interp(t_out, warp.t_da, warp.t_ad)
+        t_ad *= signal.fs
+        return t_ad
+
     return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)

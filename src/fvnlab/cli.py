@@ -27,7 +27,7 @@ from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
 from .sequence import ShapingFilter, coded_channels, inverse_shape, multiplex
 from .signal import SampledSignal
-from .sim import DriftSpec, SimTarget, simulate
+from .sim import DriftSpec, SimTarget, _capture, _play
 from .spectrum import power_spectrum, third_octave_smooth
 
 _NUMBER, _INTEGER, _RATE = "a finite number", "an integer", "a whole number of Hz"
@@ -245,6 +245,14 @@ def _channels_from_manifest(
     return codes, filt, units, emitted
 
 
+def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float]:
+    """The largest |sample| and -20 log10 of it, as a report gives them: the
+    written file's float32 samples round the peak as they round every
+    sample."""
+    peak = float(np.float32(np.max(np.abs(signal.samples))))
+    return peak, float(-20.0 * np.log10(peak))
+
+
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     filt = _read_shape(cfg["shape"]) if cfg["shape"] else None
@@ -285,11 +293,10 @@ def cmd_generate(args) -> int:
         fileio.write_wav(out / "multiplexed.wav", drive)
     else:
         drive = next(written())  # the one channel; there is nothing to mix
-    # the file's float32 samples round the peak as they round every sample
-    peak = float(np.float32(np.max(np.abs(drive.samples))))
+    peak, headroom = _peak_and_headroom(drive)
     report = {
         "emitted_peak": peak,
-        "headroom_db": float(-20.0 * np.log10(peak)),
+        "headroom_db": headroom,
         "shape_range_db": None if filt is None else filt.range_db(manifest["fs"]),
         "timings_s": {
             "synthesize_s": synthesized - start,
@@ -328,7 +335,13 @@ def cmd_simulate(args) -> int:
     seed = _env_seed()
     if seed is None:
         seed = int(manifest["seed"]) if args.seed is None else args.seed
-    recorded = simulate(target, drive, seed=seed)
+    # sim.simulate in two steps, so the emission is freed before the drift
+    start = time.perf_counter()
+    played = _play(target, drive)
+    del drive
+    played_at = time.perf_counter()
+    recorded = _capture(target, played, seed)
+    captured = time.perf_counter()
     out = _out_dir(args)
     fileio.write_wav(out / "recording.wav", recorded)
     manifest = dict(manifest)
@@ -338,7 +351,18 @@ def cmd_simulate(args) -> int:
         "drift_ppm": args.drift_ppm,
     }
     fileio.write_json(out / "manifest.json", manifest)
-    print(f"wrote recording.wav ({recorded.duration:.2f} s) to {out}")
+    peak, headroom = _peak_and_headroom(recorded)
+    report = {
+        "recorded_peak": peak,
+        "headroom_db": headroom,
+        "timings_s": {
+            "paths_s": played_at - start,
+            "capture_s": captured - played_at,
+            "write_s": time.perf_counter() - captured,
+        },
+    }
+    fileio.write_json(out / "report.json", report)
+    print(f"wrote recording.wav ({recorded.duration:.2f} s) and report to {out}")
     return 0
 
 

@@ -20,7 +20,8 @@ workers allocate nothing of a chunk's length: glibc keeps what a thread
 allocates in that thread's own arena, which raises the process's peak
 memory.  resample_oversampled evaluates through a 2x upsampled copy, the
 one record-length buffer it adds besides the output, and doubles the
-positions chunk by chunk.
+positions chunk by chunk.  It asks the caller for the positions only once
+the transforms have run, so no positions array is alive during them.
 
 The FFT helpers upsample2 and fftconvolve use numpy.fft, the package's one
 FFT library, and scale and multiply their spectra in place.  Neither runs
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -225,7 +227,7 @@ def upsample2(x: np.ndarray) -> np.ndarray:
     view *= coarse[:rows, None]
     spectrum[rows * r :] *= coarse[rows] * fine[:tail]
     odd = np.fft.irfft(spectrum, n)
-    del spectrum  # freed before the output's pages are written
+    del view, spectrum  # the view holds the buffer too; both go before the output
     out = np.empty(2 * n)
     out[1::2] = odd
     out[0 : 2 * x.size : 2] = x
@@ -233,8 +235,14 @@ def upsample2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def resample_oversampled(
+    x: np.ndarray, positions: Callable[[], np.ndarray]
+) -> np.ndarray:
     """Evaluate x at (possibly fractional) positions via upsample2(x).
+
+    positions is a function of no arguments that returns the positions.
+    It is called once upsample2 has returned, so a record-length positions
+    array built there is not alive while the transforms run.
 
     The upsampled copy has its spectrum in the lower half band, where the
     windowed-sinc kernel is flat.  Signals with energy up to the Nyquist
@@ -242,7 +250,8 @@ def resample_oversampled(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     on x directly, the kernel's rolloff shaves about a percent off
     compressed peaks.
     """
-    return resample_at(upsample2(x), positions, _scale=2.0)
+    upsampled = upsample2(x)
+    return resample_at(upsampled, positions(), _scale=2.0)
 
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -125,16 +125,24 @@ def _polynomial(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def apply_drift(signal: SampledSignal, drift: DriftSpec) -> SampledSignal:
-    """Resample through the drifted clock (length preserved)."""
-    positions = np.arange(len(signal), dtype=np.float64)  # t, made positions in place
-    if drift.kind == "linear":
-        positions *= 1.0 + drift.ppm * 1e-6
-    else:
-        wobble = 2.0 * np.pi * drift.rate_hz * positions
-        wobble /= signal.fs
-        np.sin(wobble, out=wobble)
-        wobble *= drift.depth_s * signal.fs
-        positions += wobble
+    """Resample through the drifted clock (length preserved).
+
+    The positions are built only once the record is upsampled, so they do
+    not exist while its transforms run.
+    """
+
+    def positions():
+        t = np.arange(len(signal), dtype=np.float64)  # made positions in place
+        if drift.kind == "linear":
+            t *= 1.0 + drift.ppm * 1e-6
+        else:
+            wobble = 2.0 * np.pi * drift.rate_hz * t
+            wobble /= signal.fs
+            np.sin(wobble, out=wobble)
+            wobble *= drift.depth_s * signal.fs
+            t += wobble
+        return t
+
     return SampledSignal(resample_oversampled(signal.samples, positions), signal.fs)
 
 
@@ -146,8 +154,16 @@ def simulate(
     One input per path is required; use the same signal object repeatedly
     to drive several paths from a common stimulus.  The output is long
     enough for every path's convolution tail.  Noise is seeded, so a run is
-    reproducible bit for bit.
+    reproducible bit for bit.  This is _play then _capture; a caller that
+    owns the inputs, as the CLI does, calls the two in turn and drops the
+    inputs between them, so they are gone before the drift's buffers.
     """
+    return _capture(target, _play(target, inputs), seed)
+
+
+def _play(target: SimTarget, inputs: list[SampledSignal]) -> SampledSignal:
+    """The Hammerstein paths: each input through the nonlinearity and its
+    path's FIR, summed."""
     if len(inputs) != len(target.paths):
         raise ValueError(
             f"target has {len(target.paths)} paths but {len(inputs)} inputs given"
@@ -164,7 +180,12 @@ def simulate(
         acc[: len(s) + fir.size - 1] += fftconvolve(
             _polynomial(s.samples, target.nonlinearity), fir
         )
-    captured = SampledSignal(acc, fs)
+    return SampledSignal(acc, fs)
+
+
+def _capture(target: SimTarget, captured: SampledSignal, seed: int) -> SampledSignal:
+    """The capture chain: the target's drift, then its seeded noise."""
+    fs = captured.fs
     if target.drift is not None:
         captured = apply_drift(captured, target.drift)
     if target.noise is not None:

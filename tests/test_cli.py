@@ -316,6 +316,58 @@ def test_align_reads_a_short_room_record_like_the_true_warp(tmp_path):
     assert ir_err_db(ali / "aligned.wav", gen, fir) == pytest.approx(want, abs=1.0)
 
 
+def drift_commands(tmp_path):
+    """generate a 6 s three-code record (period 22050, 12 reps) for the
+    long_drift benchmark's chain: one path, a mild cubic, white noise 40 dB
+    down and 20 ppm of drift.  Returns the simulate and align arguments."""
+    gen, sim, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
+    target.write_text(json.dumps({
+        "paths": [[0.0, 1.0, 0.2, -0.1]],
+        "nonlinearity": [1.0, 0.0, 0.1],
+        "noise": {"kind": "white", "level_db": -40.0},
+    }))
+    assert generate(gen, sigma_t=0.01, period_no=22050, reps=12, codes=3, seed=2) == 0
+    return (
+        ["simulate", gen, "--config", target, "--drift-ppm", 20.0, "--out-dir", sim],
+        ["align", sim / "recording.wav", gen, "--out-dir", tmp_path / "ali"],
+    )
+
+
+def test_drifted_simulate_holds_few_record_lengths(tmp_path, traced_peak):
+    """The mix, the 2x upsampled copy, the positions and the output (~42
+    B/sample).  The emission alive through the drift, or the positions
+    through the transforms, reads 56."""
+    simulate, _ = drift_commands(tmp_path)
+    code, peak = traced_peak(run, *simulate)
+    assert code == 0
+    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 49.0
+
+
+def test_align_holds_few_record_lengths(tmp_path, traced_peak):
+    """The recording, the 2x upsampled copy, the positions and the output
+    (~43 B/sample).  The positions alive through the transforms read 49."""
+    simulate, align = drift_commands(tmp_path)
+    assert run(*simulate) == 0
+    code, peak = traced_peak(run, *align)
+    assert code == 0
+    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 46.0
+
+
+def test_simulate_reports_the_recorded_peak(tmp_path):
+    """report.json beside recording.wav: its peak as the float32 file holds
+    it, the headroom and the timings."""
+    simulate, _ = drift_commands(tmp_path)
+    assert run(*simulate) == 0
+    sim = tmp_path / "sim"
+    report = read_json(sim / "report.json")
+    peak = float(np.max(np.abs(read_wav(sim / "recording.wav").samples)))
+    assert report["recorded_peak"] == peak
+    assert report["headroom_db"] == pytest.approx(-20.0 * np.log10(peak), abs=1e-12)
+    assert sorted(report["timings_s"]) == ["capture_s", "paths_s", "write_s"]
+    for value in report["timings_s"].values():
+        assert isinstance(value, float) and np.isfinite(value) and value >= 0.0
+
+
 def test_align_reports_its_blocks(tmp_path):
     """report.json says how well the line fits the block delays; warp.csv
     holds each block's centre on both clocks."""

@@ -136,7 +136,7 @@ def test_resample_oversampled_holds_few_record_lengths(traced_peak):
     n = 1_000_000
     x = np.random.default_rng(5).standard_normal(n)
     positions = np.arange(n) * (1.0 + 20e-6)
-    _, peak = traced_peak(resample_oversampled, x, positions)
+    _, peak = traced_peak(resample_oversampled, x, lambda: positions)
     assert peak / n <= 40.0
 
 
@@ -228,13 +228,13 @@ def test_non_finite_positions_are_refused(bad):
     with pytest.raises(ValueError, match="positions must be finite"):
         resample_at(np.arange(10.0), positions)
     with pytest.raises(ValueError, match="positions must be finite"):
-        resample_oversampled(np.arange(10.0), positions)
+        resample_oversampled(np.arange(10.0), lambda: positions)
 
 
 def test_positions_that_double_past_the_float_range_are_refused():
     assert resample_at(np.arange(10.0), np.array([1e308]))[0] == 0.0
     with pytest.raises(ValueError, match="positions must be finite"):
-        resample_oversampled(np.arange(10.0), np.array([-1e308]))
+        resample_oversampled(np.arange(10.0), lambda: np.array([-1e308]))
 
 
 @pytest.mark.parametrize("half_taps", [5, 32])
@@ -303,7 +303,7 @@ def test_a_traced_oversampled_call_records_one_span_each():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        resample.resample_oversampled(x, np.arange(n) * (1.0 + 20e-6))
+        resample.resample_oversampled(x, lambda: np.arange(n) * (1.0 + 20e-6))
     finally:
         tracer.uninstall()
     names = sorted(span[0] for span in tracer.spans)
@@ -343,6 +343,15 @@ def test_upsample2_matches_scipy_at_its_fast_complex_length(n):
     got = upsample2(x)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_upsample2_frees_its_spectrum_before_the_output(traced_peak):
+    """The odd samples (8 B/sample) and the 2n output (16 B/sample); the
+    n / 2 + 1 bin spectrum (8 B/sample) alive beside them reads 32."""
+    n = 1_000_000
+    x = np.random.default_rng(7).standard_normal(n)
+    _, peak = traced_peak(upsample2, x)
+    assert peak / n <= 28.0
 
 
 def test_upsample2_validation():
