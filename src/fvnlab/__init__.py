@@ -17,14 +17,7 @@ from .fvn import (
     phase_unit,
     synthesize_unit_fvn,
 )
-from .measure import (
-    MeasurementResult,
-    demultiplex,
-    noise_floor,
-    pulse_compress,
-    separate_nonlinear,
-    synchronized_average,
-)
+from .measure import MeasurementResult, demultiplex, noise_floor, separate_nonlinear
 from .sequence import (
     ShapingFilter,
     assemble_sequence,
@@ -73,11 +66,9 @@ __all__ = [
     "noise_floor",
     "phase_unit",
     "power_spectrum",
-    "pulse_compress",
     "separate_nonlinear",
     "shape_spectrum",
     "simulate",
-    "synchronized_average",
     "synthesize_unit_fvn",
     "third_octave_smooth",
     "track_block_delays",

@@ -330,8 +330,6 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             f"target has {len(target.paths)} paths for {len(channels)} channels"
         )
-    source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
-    _check_drift(source, target, drive, int(manifest["period_no"]))
     seed = _env_seed()
     if seed is None:
         seed = int(manifest["seed"]) if args.seed is None else args.seed
@@ -339,6 +337,8 @@ def cmd_simulate(args) -> int:
     start = time.perf_counter()
     played = _play(target, drive)
     del drive
+    source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
+    _check_drift(source, target.drift, len(played), int(manifest["period_no"]))
     played_at = time.perf_counter()
     recorded = _capture(target, played, seed)
     captured = time.perf_counter()
@@ -366,15 +366,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_drift(source: str, target: SimTarget, drive: list, period_no: int) -> None:
+def _check_drift(
+    source: str, drift: DriftSpec | None, length: int, period_no: int
+) -> None:
     """Refuse a linear drift whose clock runs through the source more than
     one period before the record ends, naming `source`: time at 1 + s reads
-    the last source sample at N / (1 + s), so the last s / (1 + s) * N
-    samples of the N-sample record would hear nothing."""
-    drift = target.drift
+    the last source sample at N / (1 + s), so the last s / (1 + s) * N of
+    the N = length samples recorded would hear nothing."""
     if drift is None or drift.kind != "linear":
         return
-    length = max(len(s) + fir.size - 1 for s, fir in zip(drive, target.paths))
     rate = drift.ppm * 1e-6
     silent = rate / (1.0 + rate) * length
     if silent > period_no:

@@ -9,10 +9,11 @@ with the taps in the inner loop over one-chunk vectors.
 
 A long call splits its positions into one contiguous slice per available
 CPU (at most one per _MIN_SLICE positions, _MAX_WORKERS in all) and runs
-the slices at once in threads; numpy releases the GIL inside each vector
-operation.  Each output sample takes the same operations in the same order
-on any slice or chunk, so the output does not depend on the CPU count.
-Threads work in _THREAD_CHUNK chunks: with shorter ones their vector
+the slices at once on a concurrent.futures thread pool; numpy releases the
+GIL inside each vector operation.  One worker runs in the calling thread,
+with no pool.  Each output sample takes the same operations in the same
+order on any slice or chunk, so the output does not depend on the CPU
+count.  Threads work in _THREAD_CHUNK chunks: with shorter ones their vector
 operations are too brief, and the threads spend their time handing the
 GIL back and forth.  One worker keeps the shorter _CHUNK, whose scratch is
 smaller.  The calling thread allocates every worker's scratch, and the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Callable
 
 import numpy as np
@@ -98,21 +98,13 @@ def resample_at(
     if workers == 1:
         _resample_chunks(*slices[0])
         return out
-    errors = []
+    from concurrent.futures import ThreadPoolExecutor  # only long calls load it
 
-    def run(*args):
-        try:
-            _resample_chunks(*args)
-        except BaseException as error:  # re-raised once every worker is joined
-            errors.append(error)
-
-    threads = [threading.Thread(target=run, args=args) for args in slices]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(workers) as pool:  # leaving it joins every worker
+        # submit, not map: map cancels the slices not yet started if one fails
+        futures = [pool.submit(_resample_chunks, *args) for args in slices]
+        for future in futures:
+            future.result()
     return out
 
 

@@ -730,12 +730,12 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
     """WAV files, FFTs, shaping and filter design need numpy alone, so
     importing the CLI and designing a slope filter load no scipy module at
-    all.  A fresh interpreter shows it, since this test process imports
-    scipy."""
+    all, nor concurrent.futures, which only a long resampling call needs.
+    A fresh interpreter shows it, since this test process imports scipy."""
     src = Path(fvnlab.__file__).resolve().parents[1]
     code = (
         "import sys, fvnlab.cli; fvnlab.design_slope_filter(-3.0, 44100.0); "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(

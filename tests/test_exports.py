@@ -28,7 +28,8 @@ def test_every_exported_name_resolves():
 
 
 def test_retired_names_are_gone():
-    for name in ["SequencePlan", "CodeMatrix", "PhaseSpectrum", *PHASE_TRACKER]:
+    retired = ["SequencePlan", "CodeMatrix", "PhaseSpectrum", *PHASE_TRACKER]
+    for name in [*retired, "pulse_compress", "synchronized_average"]:
         assert not hasattr(fvnlab, name)
         assert name not in fvnlab.__all__
     assert not hasattr(fvnlab.sequence, "SequencePlan")

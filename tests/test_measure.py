@@ -13,11 +13,10 @@ from fvnlab import (
     measure,
     multiplex,
     noise_floor,
-    pulse_compress,
     separate_nonlinear,
-    synchronized_average,
     synthesize_unit_fvn,
 )
+from fvnlab.measure import pulse_compress, synchronized_average
 
 FS = 44100.0
 

@@ -267,8 +267,14 @@ def test_threaded_slices_match_one_worker_bit_for_bit(monkeypatch, half_taps):
     assert threaded.tobytes() == padded_resample_at(x, positions, half_taps).tobytes()
 
 
-def test_a_failing_slice_raises_once_every_worker_is_joined(monkeypatch):
+@pytest.mark.parametrize("fails", [True, False], ids=["failing", "clean"])
+def test_a_failing_slice_raises_once_every_worker_is_joined(monkeypatch, fails):
+    """Every slice runs once, and the workers are gone when the call
+    returns or raises; a failing slice raises its error, and with none the
+    output is the one-worker output."""
     kernel = resample._resample_chunks
+    positions = np.linspace(0.0, 99.0, 3 * resample._THREAD_CHUNK)
+    one_worker = resample_at(np.ones(100), positions)
     lock = threading.Lock()
     calls = []
 
@@ -276,15 +282,18 @@ def test_a_failing_slice_raises_once_every_worker_is_joined(monkeypatch):
         with lock:
             calls.append(args)
             second = len(calls) == 2
-        if second:
+        if fails and second:
             raise RuntimeError("slice failed")
         kernel(*args)
 
     monkeypatch.setattr(resample, "_workers", lambda count: 3)
     monkeypatch.setattr(resample, "_resample_chunks", fail_on_the_second_slice)
     running = threading.active_count()
-    with pytest.raises(RuntimeError, match="slice failed"):
-        resample_at(np.ones(100), np.linspace(0.0, 99.0, 3 * resample._THREAD_CHUNK))
+    if fails:
+        with pytest.raises(RuntimeError, match="slice failed"):
+            resample_at(np.ones(100), positions)
+    else:
+        assert np.array_equal(resample_at(np.ones(100), positions), one_worker)
     assert len(calls) == 3
     assert threading.active_count() == running
 
