@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, selftest
+from . import fileio
 from .align import apply_warp, track_block_delays
 from .codes import build_code_matrix
 from .fvn import FvnSpec
@@ -104,17 +104,15 @@ def _check_keys(path, doc, kinds, prefix="", optional=(), closed=True) -> None:
             raise ValueError(f"{path}: {prefix}{key} must be {kind}")
 
 
-def _read_shape(path: str) -> ShapingFilter:
-    """A --shape file: a JSON list of numbers, the kind a manifest's shape
-    key holds, made a ShapingFilter; every refusal names the file."""
+def _read_shape(path: str) -> list[float]:
+    """A --shape file's coefficients as floats: a JSON list of numbers, the
+    kind a manifest's shape key holds, or a refusal naming the file.
+    _channels_from_manifest builds and checks the filter, as for align."""
     doc = fileio.read_json(path)
     kind = "a list of numbers"
     if not _IS_KIND[kind](doc):
         raise ValueError(f"{path}: expected {kind}")
-    try:
-        return ShapingFilter(np.asarray(doc, dtype=np.float64))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return [float(c) for c in doc]
 
 
 def _resolve_config(args) -> dict:
@@ -197,17 +195,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _channels_from_manifest(
-    manifest: dict, shape_source: str, codes: np.ndarray | None = None
-) -> tuple[
+def _channels_from_manifest(manifest: dict, shape_source: str) -> tuple[
     np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
-    """Code matrix (built from the manifest unless given), shaping filter,
-    unit pulses and lazily emitted signals.  A filter whose range breaks the
-    float32 round trip and a plan too long for a WAV file are refused before
-    anything is synthesized; a refused filter's message starts with
-    `shape_source`, where its coefficients came from."""
-    codes = build_code_matrix(int(manifest["codes"])) if codes is None else codes
+    """Code matrix, shaping filter, unit pulses and lazily emitted signals.
+    A filter that is unstable or whose range breaks the float32 round trip
+    and a plan too long for a WAV file are refused before anything is
+    synthesized; a refused filter's message starts with `shape_source`,
+    where its coefficients came from."""
+    codes = build_code_matrix(int(manifest["codes"]))
     sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
     pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
     filt = None
@@ -255,7 +251,7 @@ def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float]:
 
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
-    filt = _read_shape(cfg["shape"]) if cfg["shape"] else None
+    shape = _read_shape(cfg["shape"]) if cfg["shape"] else None
     seed = int(cfg["seed"])
     codes = build_code_matrix(int(cfg["codes"]))  # rejects bad counts first
     manifest = {
@@ -269,10 +265,10 @@ def cmd_generate(args) -> int:
             {"file": f"channel_{i}.wav", "seed": seed + i, "code_row": i}
             for i in range(len(codes))
         ],
-        "shape": filt.a.tolist() if filt is not None else None,
+        "shape": shape,
     }
     start = time.perf_counter()
-    *_, emitted = _channels_from_manifest(manifest, cfg["shape"], codes)
+    _, filt, _, emitted = _channels_from_manifest(manifest, cfg["shape"])
     synthesized = time.perf_counter()
     # checked here, not with the flags, so the pulse-length check (which names
     # sigma_t too) comes first; nothing is assembled or written yet
@@ -435,9 +431,13 @@ def cmd_analyze(args) -> int:
     ir = fileio.read_wav(args.ir)
     length = None
     if args.truncate_ms is not None:
-        length = int(round(args.truncate_ms * 1e-3 * ir.fs))
-        if not 2 <= length <= len(ir):
-            raise ValueError(f"--truncate-ms is {length} samples, outside 2..{len(ir)}")
+        # compared before rounding: a huge flag value gives inf samples
+        samples = args.truncate_ms * 1e-3 * ir.fs
+        if not 1.5 <= samples <= len(ir) + 0.5:
+            raise ValueError(
+                f"--truncate-ms is {samples:.0f} samples, outside 2..{len(ir)}"
+            )
+        length = int(round(samples))
     smoothed = third_octave_smooth(power_spectrum(ir, analysis_length=length))
     out = _out_dir(args)
     fileio.write_spectrum_csv(out / "spectrum.csv", smoothed.freqs, smoothed.level_db)
@@ -492,6 +492,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # no other command needs the acceptance suite
+
     return 0 if selftest.run_all() else 3
 
 

@@ -12,7 +12,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .codes import averaging_block, row_of
 from .fvn import FvnSpec, center_pulse, synthesize_unit_fvn
@@ -40,13 +39,12 @@ def _is_minimum_phase(a: np.ndarray) -> bool:
 def _all_pole_db(a: np.ndarray, freqs: np.ndarray, fs: float) -> np.ndarray:
     """20 log10 |1 / A(z)| at the given frequencies for A = 1 + a_1 z^-1 + ...
 
-    Horner evaluation on the unit circle in the same operations and order as
-    scipy.signal.freqz at explicit frequencies, so the values are identical.
+    np.polyval on the reversed coefficients evaluates A at z^-1 by Horner's
+    rule from a_p down to 1, the operations and order scipy.signal.freqz
+    takes at explicit frequencies, so the values are identical.
     """
     zm1 = np.exp(-1j * (2 * np.pi * np.asarray(freqs, dtype=np.float64) / fs))
-    h = polyval(zm1, [1.0], tensor=False) / polyval(
-        zm1, np.concatenate([[1.0], a]), tensor=False
-    )
+    h = 1.0 / np.polyval(np.concatenate([[1.0], a])[::-1], zm1)
     return 20.0 * np.log10(np.abs(h))
 
 

@@ -21,7 +21,9 @@ from .signal import SampledSignal
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise: kind 'white' or 'pink', level in dB re signal RMS."""
+    """Additive noise: kind 'white' or 'pink', level in dB re signal RMS.
+    A level whose gain 10^(level_db / 20) passes the largest float (from
+    20 log10 of it, ~6165.09 dB, on) is rejected."""
 
     kind: str
     level_db: float
@@ -29,6 +31,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("white", "pink"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.level_db / 20.0 >= np.log10(np.finfo(np.float64).max):
+            raise ValueError(
+                f"noise level_db {self.level_db:g} has a gain beyond the largest float"
+            )
 
 
 @dataclass(frozen=True)

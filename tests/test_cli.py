@@ -234,6 +234,25 @@ def test_generate_reports_the_unshaped_channel(tmp_path):
     check_generate_report(gen, "channel_0.wav", None)
 
 
+def test_an_empty_shape_file_is_no_filter(tmp_path):
+    """[] is A(z) = 1: the manifest keeps the empty list, the report gives no
+    range, as without a filter, the channel is the unshaped one, and measure
+    runs on the set."""
+    shape = tmp_path / "shape.json"
+    shape.write_text("[]")
+    gen, plain, sim, meas = (tmp_path / d for d in ("gen", "plain", "sim", "meas"))
+    kw = dict(sigma_t=0.005, period_no=2205, reps=12)
+    assert generate(gen, shape=shape, **kw) == 0
+    assert generate(plain, **kw) == 0
+    assert read_json(gen / "manifest.json")["shape"] == []
+    check_generate_report(gen, "channel_0.wav", None)
+    channel = (gen / "channel_0.wav").read_bytes()
+    assert channel == (plain / "channel_0.wav").read_bytes()
+    assert run("simulate", gen, "--out-dir", sim) == 0
+    assert run("measure", sim / "recording.wav", gen, "--out-dir", meas) == 0
+    assert read_wav(meas / "linear_ir.wav").samples[0] == pytest.approx(1.0, abs=1e-4)
+
+
 def test_align_long_multiplexed_record_sharpens_drift(tmp_path):
     gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=24, codes=2, seed=11) == 0
@@ -642,6 +661,28 @@ def test_target_drift_that_folds_time_is_refused_naming_the_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"noise": {"kind": "white", "level_db": 10000}}, ["target.json", "level_db"]),
+        ({"noise": {"kind": "white", "level_db": 1000}}, ["recording.wav", "finite"]),
+        ({"nonlinearity": [1.0, 1e308, 1e308]}, ["recording.wav", "finite"]),
+    ],
+)
+def test_target_beyond_float_range_is_refused(tmp_path, capsys, doc, names):
+    """A noise gain 10^(level_db / 20) past the largest float is refused with
+    the target file.  Noise or a nonlinearity that takes the recording past
+    float32's range would write inf samples and an Infinity peak, which
+    measure and JSON readers refuse; simulate refuses it first, naming
+    recording.wav, and writes nothing."""
+    gen, out, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=6) == 0
+    target.write_text(json.dumps({"paths": [[1.0]], **doc}))
+    argv = ["simulate", gen, "--config", target, "--out-dir", out]
+    check_one_error_line(capsys, argv, *names)
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_truncation_is_a_validation_error(tmp_path, capsys, value):
     ir, out = tmp_path / "ir.wav", tmp_path / "ana"
@@ -651,14 +692,16 @@ def test_non_finite_truncation_is_a_validation_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "0.01", "1000"])
+@pytest.mark.parametrize("value", ["-1", "0", "0.01", "1000", "1e308", "-1e308"])
 def test_truncation_out_of_range_is_a_validation_error_naming_the_flag(
     tmp_path, capsys, value
 ):
-    """-1, 0 and 0.01 ms give fewer than 2 samples, 1000 ms more than the IR."""
+    """-1, 0 and 0.01 ms give fewer than 2 samples, 1000 ms more than the IR;
+    +-1e308 ms overflow to an infinite sample count.  The value is joined to
+    the flag by "=", since argparse reads a lone "-1e308" as an option."""
     ir, out = tmp_path / "ir.wav", tmp_path / "ana"
     write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(4409)], 44100.0))
-    argv = ["analyze", ir, "--truncate-ms", value, "--out-dir", out]
+    argv = ["analyze", ir, f"--truncate-ms={value}", "--out-dir", out]
     check_one_error_line(capsys, argv, "--truncate-ms", "2..4410")
     assert not out.exists()
 
@@ -730,12 +773,14 @@ def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, comma
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
     """WAV files, FFTs, shaping and filter design need numpy alone, so
     importing the CLI and designing a slope filter load no scipy module at
-    all, nor concurrent.futures, which only a long resampling call needs.
+    all, nor concurrent.futures, which only a long resampling call needs,
+    nor numpy.polynomial, nor the selftest, which only its own command runs.
     A fresh interpreter shows it, since this test process imports scipy."""
     src = Path(fvnlab.__file__).resolve().parents[1]
+    skipped = ("scipy", "concurrent", "numpy.polynomial", "fvnlab.selftest")
     code = (
         "import sys, fvnlab.cli; fvnlab.design_slope_filter(-3.0, 44100.0); "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
+        f"print(sorted(m for m in sys.modules if m.startswith({skipped!r})))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(

@@ -62,6 +62,19 @@ def test_wav_sample_count_is_bounded_by_the_riff_size_field(tmp_path, monkeypatc
     assert not over.exists()
 
 
+def test_wav_refuses_samples_beyond_the_float32_range(tmp_path):
+    """A sample past float32's largest value would be written as inf; the
+    largest itself is kept.  Nothing is written for a refused signal."""
+    top = tmp_path / "top.wav"
+    largest = float(np.finfo(np.float32).max)
+    write_wav(top, SampledSignal(np.array([largest, -largest]), 44100.0))
+    np.testing.assert_array_equal(read_wav(top).samples, [largest, -largest])
+    over = tmp_path / "over.wav"
+    with pytest.raises(ValueError, match=f"{over}: .*finite"):
+        write_wav(over, SampledSignal(np.array([0.0, -1e39]), 44100.0))
+    assert not over.exists()
+
+
 def test_wav_rejects_stereo(tmp_path):
     f = tmp_path / "stereo.wav"
     scipy.io.wavfile.write(f, 44100, np.zeros((100, 2), dtype=np.float32))
@@ -175,7 +188,8 @@ def test_filter_roundtrip(tmp_path):
     f = tmp_path / "shape.json"
     write_filter(f, filt)
     back = cli._read_shape(f)
-    np.testing.assert_array_equal(back.a, filt.a)
+    assert back == filt.a.tolist()
+    assert all(type(c) is float for c in back)
 
 
 def test_filter_rejects_non_array_documents(tmp_path):

@@ -188,3 +188,13 @@ def test_simulate_validation():
         NoiseSpec("brown", -20.0)
     with pytest.raises(ValueError):
         DriftSpec("quadratic")
+
+
+def test_noise_level_is_bounded_by_the_largest_float():
+    """The noise gain is 10^(level_db / 20): 20 log10 of the largest float,
+    ~6165.09 dB, is the first level whose gain overflows."""
+    first = float(20.0 * np.log10(np.finfo(np.float64).max))
+    below = NoiseSpec("white", float(np.nextafter(first, 0.0)))
+    assert np.isfinite(10.0 ** (below.level_db / 20.0))
+    with pytest.raises(ValueError, match="level_db"):
+        NoiseSpec("white", first)
