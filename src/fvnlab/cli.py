@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from collections.abc import Iterator
@@ -162,16 +163,22 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
     return path, manifest
 
 
+def _read_at_manifest_rate(path: str | Path, manifest: dict) -> SampledSignal:
+    """The WAV file at `path`, refused, naming it, unless its rate is the
+    manifest's."""
+    signal = fileio.read_wav(path)
+    if signal.fs != manifest["fs"]:
+        raise ValueError(
+            f"{path}: rate {signal.fs} does not match manifest {manifest['fs']}"
+        )
+    return signal
+
+
 def _read_recording(args) -> tuple[Path, dict, SampledSignal]:
     """The manifest's path, the manifest and the recording `measure` and
     `align` work on."""
     path, manifest = _read_manifest(args.manifest)
-    recorded = fileio.read_wav(args.recording)
-    if recorded.fs != manifest["fs"]:
-        raise ValueError(
-            f"recording rate {recorded.fs} does not match manifest {manifest['fs']}"
-        )
-    return path, manifest, recorded
+    return path, manifest, _read_at_manifest_rate(args.recording, manifest)
 
 
 def _read_target(path: str) -> SimTarget:
@@ -274,13 +281,11 @@ def cmd_generate(args) -> int:
     # sigma_t too) comes first; nothing is assembled or written yet
     if manifest["fs"] > fileio.MAX_WAV_RATE:
         raise ValueError(f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file")
-    out = Path(args.out_dir)
+    out = _out_dir(args)
 
     def written():
         """Each channel, written to its file as it is emitted."""
         for channel, signal in zip(manifest["channels"], emitted):
-            # assembling channel 0 ran the plan check, the last refusal
-            out.mkdir(parents=True, exist_ok=True)
             fileio.write_wav(out / channel["file"], signal)
             yield signal
 
@@ -315,9 +320,11 @@ def cmd_simulate(args) -> int:
         target = SimTarget(paths=[np.array([1.0])] * len(channels))
     if args.drift_ppm is not None:
         target = replace(target, drift=DriftSpec("linear", ppm=args.drift_ppm))
-    inputs = (fileio.read_wav(path.parent / ch["file"]) for ch in channels)
+    inputs = (
+        _read_at_manifest_rate(path.parent / ch["file"], manifest) for ch in channels
+    )
     if len(target.paths) == len(channels):
-        drive = list(inputs)
+        drive = inputs  # each channel is read as its path plays it
     elif len(target.paths) == 1 and len(channels) > 1:
         # one transducer: the mixed feed drives the single path, summed as
         # the files are read
@@ -499,6 +506,16 @@ def cmd_selftest(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on flag mistakes; here those are validation errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's private pattern for a value that looks like an option but
+        # is a negative number takes -5 and -1.5 only; this one also takes
+        # -1e6, -.5, -inf and -nan, which float() reads, so such a value
+        # reaches its flag's own check
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

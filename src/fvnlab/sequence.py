@@ -197,7 +197,9 @@ def coded_channels(
     code_rows[i], through `filt` if one is given.  The units come back as a
     list and the emitted signals as a lazy iterator, so a receiver, which
     compresses with the units only, assembles and shapes nothing.  A pulse
-    buffer longer than the whole emission is refused before synthesis.
+    buffer longer than the whole emission, a plan that leaves the receiver
+    no block to average and a code row outside `codes` are refused before
+    synthesis.
 
     Shaping is linear and time-invariant, so the unit is shaped, not the
     emission: each unit is convolved with filt.impulse_response (truncated
@@ -217,6 +219,9 @@ def coded_channels(
             f"2^{specs[0].dft_size_k.bit_length() - 1}-sample pulse buffer, "
             f"longer than the {emission}-sample emission (period_no x repetitions)"
         )
+    averaging_block(emission, period_no, codes.shape[1])  # as assemble_sequence
+    for row in code_rows:
+        row_of(codes, row)
     units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
 
     def emitted() -> Iterator[SampledSignal]:

@@ -10,12 +10,14 @@ it would be in a real capture chain.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .resample import fftconvolve, resample_oversampled
+from .sequence import multiplex
 from .signal import SampledSignal
 
 
@@ -153,40 +155,32 @@ def apply_drift(signal: SampledSignal, drift: DriftSpec) -> SampledSignal:
 
 
 def simulate(
-    target: SimTarget, inputs: list[SampledSignal], seed: int = 0
+    target: SimTarget, inputs: Iterable[SampledSignal], seed: int = 0
 ) -> SampledSignal:
     """Play the inputs through the target and capture the result.
 
-    One input per path is required; use the same signal object repeatedly
-    to drive several paths from a common stimulus.  The output is long
-    enough for every path's convolution tail.  Noise is seeded, so a run is
-    reproducible bit for bit.  This is _play then _capture; a caller that
-    owns the inputs, as the CLI does, calls the two in turn and drops the
-    inputs between them, so they are gone before the drift's buffers.
+    The inputs are consumed once, one per path, and may come from a lazy
+    iterable; use the same signal object repeatedly to drive several paths
+    from a common stimulus.  The output is long enough for every path's
+    convolution tail.  Noise is seeded, so a run is reproducible bit for
+    bit.  This is _play then _capture; a caller that owns the inputs, as
+    the CLI does, calls the two in turn and drops the inputs between them,
+    so they are gone before the drift's buffers.
     """
     return _capture(target, _play(target, inputs), seed)
 
 
-def _play(target: SimTarget, inputs: list[SampledSignal]) -> SampledSignal:
+def _play(target: SimTarget, inputs: Iterable[SampledSignal]) -> SampledSignal:
     """The Hammerstein paths: each input through the nonlinearity and its
-    path's FIR, summed."""
-    if len(inputs) != len(target.paths):
-        raise ValueError(
-            f"target has {len(target.paths)} paths but {len(inputs)} inputs given"
-        )
-    fs = inputs[0].fs
-    if any(s.fs != fs for s in inputs):
-        raise ValueError("all inputs must share one sample rate")
-    length = max(
-        len(s) + fir.size - 1 for s, fir in zip(inputs, target.paths)
+    path's FIR, summed by multiplex as it arrives, so a lazy `inputs` is
+    read one input at a time.  Inputs that do not pair one to one with the
+    paths raise zip's ValueError, mixed rates multiplex's; each is found
+    when the stream reaches it."""
+    poly = target.nonlinearity
+    return multiplex(
+        SampledSignal(fftconvolve(_polynomial(s.samples, poly), fir), s.fs)
+        for s, fir in zip(inputs, target.paths, strict=True)
     )
-    acc = np.zeros(length)
-    for s, fir in zip(inputs, target.paths):
-        # no names for the path's buffers, so none outlives its sum
-        acc[: len(s) + fir.size - 1] += fftconvolve(
-            _polynomial(s.samples, target.nonlinearity), fir
-        )
-    return SampledSignal(acc, fs)
 
 
 def _capture(target: SimTarget, captured: SampledSignal, seed: int) -> SampledSignal:

@@ -362,6 +362,34 @@ def test_drifted_simulate_holds_few_record_lengths(tmp_path, traced_peak):
     assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 49.0
 
 
+def test_undrifted_simulate_holds_few_record_lengths(tmp_path, traced_peak):
+    """drift_commands' cubic path with noise and no drift: the mix, the
+    path's output and the polynomial's two temporaries (~32 B/sample).  A
+    sum allocated before the polynomial runs reads 40."""
+    simulate, _ = drift_commands(tmp_path)
+    simulate.remove("--drift-ppm")
+    simulate.remove(20.0)
+    code, peak = traced_peak(run, *simulate)
+    assert code == 0
+    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 37.0
+
+
+def test_one_path_per_channel_simulate_reads_one_channel_at_a_time(
+    tmp_path, traced_peak
+):
+    """Four codes through four 200-tap FIRs, one per channel: the sum, one
+    channel and its path's buffers (~48 B/sample).  Every channel read
+    before the first path plays reads 64."""
+    gen, target = tmp_path / "gen", tmp_path / "target.json"
+    firs = np.random.default_rng(5).standard_normal((4, 200)) * 0.05
+    target.write_text(json.dumps({"paths": firs.tolist()}))
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=40, codes=4) == 0
+    sim = tmp_path / "sim"
+    code, peak = traced_peak(run, "simulate", gen, "--config", target, "--out-dir", sim)
+    assert code == 0
+    assert peak / read_wav(sim / "recording.wav").samples.size <= 56.0
+
+
 def test_align_holds_few_record_lengths(tmp_path, traced_peak):
     """The recording, the 2x upsampled copy, the positions and the output
     (~43 B/sample).  The positions alive through the transforms read 49."""
@@ -607,7 +635,7 @@ def test_bad_shape_file_is_a_validation_error_naming_the_file(
     assert not gen.exists()
 
 
-@pytest.mark.parametrize("ppm", ["-1000000", "-2000000"])
+@pytest.mark.parametrize("ppm", ["-1000000", "-2000000", "-1e6"])
 def test_drift_flag_that_stops_or_reverses_time_is_refused(tmp_path, capsys, ppm):
     gen, out = tmp_path / "gen", tmp_path / "sim"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
@@ -697,16 +725,17 @@ def test_truncation_out_of_range_is_a_validation_error_naming_the_flag(
     tmp_path, capsys, value
 ):
     """-1, 0 and 0.01 ms give fewer than 2 samples, 1000 ms more than the IR;
-    +-1e308 ms overflow to an infinite sample count.  The value is joined to
-    the flag by "=", since argparse reads a lone "-1e308" as an option."""
+    +-1e308 ms overflow to an infinite sample count.  The value is given
+    both joined to the flag and as its own argument."""
     ir, out = tmp_path / "ir.wav", tmp_path / "ana"
     write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(4409)], 44100.0))
-    argv = ["analyze", ir, f"--truncate-ms={value}", "--out-dir", out]
-    check_one_error_line(capsys, argv, "--truncate-ms", "2..4410")
-    assert not out.exists()
+    for flag in ([f"--truncate-ms={value}"], ["--truncate-ms", value]):
+        argv = ["analyze", ir, *flag, "--out-dir", out]
+        check_one_error_line(capsys, argv, "--truncate-ms", "2..4410")
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_non_finite_drift_is_a_validation_error(tmp_path, capsys, value):
     gen, out = tmp_path / "gen", tmp_path / "sim"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
@@ -761,13 +790,54 @@ def test_code_row_beyond_the_matrix_is_a_validation_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["measure", "align"])
+def refuse_synthesis(*args, **kwargs):
+    raise AssertionError("a unit pulse was synthesized")
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("generate", ["6 repetitions", "8"]),
+        ("measure", ["code row index 5 out of range 0..1"]),
+    ],
+)
+def test_refused_plan_synthesizes_nothing(
+    tmp_path, capsys, monkeypatch, command, names
+):
+    """3 codes need 4 + 4 periods, so 6 repetitions leave no block to
+    average; that plan, and a code row beyond the matrix, are refused before
+    any unit pulse is synthesized."""
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--codes", 3, "--reps", 6]
+    else:
+        assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
+        manifest = read_json(gen / "manifest.json")
+        manifest["channels"][1]["code_row"] = 5
+        (gen / "manifest.json").write_text(json.dumps(manifest))
+        argv = [command, gen / "multiplexed.wav", gen]
+    monkeypatch.setattr(sequence, "synthesize_unit_fvn", refuse_synthesis)
+    check_one_error_line(capsys, [*argv, "--out-dir", out], *names)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "align", "simulate"])
 def test_recording_at_another_rate_is_a_validation_error(tmp_path, capsys, command):
-    gen, rec = tmp_path / "gen", tmp_path / "rec.wav"
-    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
-    write_wav(rec, SampledSignal(read_wav(gen / "channel_0.wav").samples, 48000.0))
-    argv = [command, rec, gen, "--out-dir", tmp_path / "out"]
-    check_one_error_line(capsys, argv, "48000", "does not match manifest")
+    """simulate checks each channel file it plays, as measure and align
+    check the recording, with the same message naming the file."""
+    gen, rec, out = tmp_path / "gen", tmp_path / "rec.wav", tmp_path / "out"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
+    if command == "simulate":
+        for i in range(2):
+            channel = gen / f"channel_{i}.wav"
+            write_wav(channel, SampledSignal(read_wav(channel).samples, 48000.0))
+        rec, argv = gen / "channel_0.wav", [command, gen]
+    else:
+        write_wav(rec, SampledSignal(read_wav(gen / "channel_0.wav").samples, 48000.0))
+        argv = [command, rec, gen]
+    argv += ["--out-dir", out]
+    check_one_error_line(capsys, argv, str(rec), "48000", "does not match manifest")
+    assert not out.exists()
 
 
 def test_importing_the_cli_skips_scipy_signal_and_optimize():
@@ -987,8 +1057,8 @@ def test_oversized_code_count_is_rejected_before_any_work(tmp_path):
 @pytest.mark.parametrize(
     "flags, names",
     [
-        # 2 codes need 2 + 4 periods; the plan is checked as channel 0 is built,
-        # after the pulses are synthesized
+        # 2 codes need 2 + 4 periods; the plan is checked before the pulses
+        # are synthesized
         ({"codes": 2, "reps": 5}, ["5 repetitions", "6"]),
         ({"sigma_t": 1e300}, ["sigma_t", "fs"]),
     ],

@@ -11,7 +11,8 @@ from fvnlab import (
     apply_drift,
     simulate,
 )
-from fvnlab.sim import _generate_noise
+from fvnlab.resample import fftconvolve
+from fvnlab.sim import _generate_noise, _polynomial
 
 FS = 44100.0
 
@@ -39,6 +40,28 @@ def test_two_paths_sum_at_the_capture_point():
     target = SimTarget(paths=[np.array([1.0]), np.array([0.5])])
     out = simulate(target, [x, x])
     assert out.samples[50] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_simulate_reads_a_stream_as_a_list_bit_for_bit():
+    """A generator of inputs gives the bits of the same inputs in a list,
+    and both those of a sum into a zero buffer of the longest output, added
+    in path order; the outputs here grow from path to path but the last."""
+    rng = np.random.default_rng(4)
+    lengths, taps = (300, 900, 500), (40, 7, 300)
+    xs = [SampledSignal(rng.standard_normal(n), FS) for n in lengths]
+    target = SimTarget(
+        paths=[rng.standard_normal(k) for k in taps],
+        nonlinearity=np.array([1.0, 0.3, -0.2]),
+    )
+    listed = simulate(target, xs)
+    streamed = simulate(target, (x for x in xs))
+    want = np.zeros(max(n + k - 1 for n, k in zip(lengths, taps)))
+    for x, fir in zip(xs, target.paths):
+        want[: len(x) + fir.size - 1] += fftconvolve(
+            _polynomial(x.samples, target.nonlinearity), fir
+        )
+    assert np.array_equal(listed.samples, want)
+    assert np.array_equal(streamed.samples, want)
 
 
 def test_cubic_nonlinearity_has_textbook_harmonic_amplitudes():
