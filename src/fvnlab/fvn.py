@@ -104,12 +104,18 @@ def phase_unit(offset, half_width: float):
         raise ValueError(f"half_width must be positive, got {half_width}")
     offset = np.asarray(offset, dtype=np.float64)
     inside = np.abs(offset) <= half_width
-    x = np.where(inside, offset, 0.0) * (np.pi / half_width)
-    acc = np.zeros_like(x)
-    for m, a in enumerate(SIX_TERM_COEFFS):
-        acc += a * np.cos(m * x)
-    out = np.where(inside, acc, 0.0)
+    x = np.where(inside, offset, 0.0).reshape(-1)
+    w = _bumps(np.ones_like(x), -x, np.zeros(1), half_width).reshape(offset.shape)
+    out = np.where(inside, w, 0.0)
     return out if out.ndim else float(out)
+
+
+def _bumps(amplitudes, d, j, half_width: float) -> np.ndarray:
+    """amplitudes[:, None] times the unmasked bump at offsets j - d[:, None]."""
+    omega = np.arange(SIX_TERM_COEFFS.size) * (np.pi / half_width)
+    dw, jw = d[:, None] * omega, omega[:, None] * j
+    a = amplitudes[:, None] * SIX_TERM_COEFFS
+    return (a * np.cos(dw)) @ np.cos(jw) + (a * np.sin(dw)) @ np.sin(jw)
 
 
 def _accumulate_phase(
@@ -119,20 +125,22 @@ def _accumulate_phase(
 
     Each center c contributes s * w(k - c) and its mirror at -c contributes
     -s * w(k + c), both evaluated on the circular bin axis, which makes the
-    total phase odd-symmetric by construction.
+    total phase odd-symmetric by construction.  Bin first + j lies j - d
+    from c, d = c - first, and with w_m = m pi / half_width, cos(w_m (j -
+    d)) = cos(w_m d) cos(w_m j) + sin(w_m d) sin(w_m j): all bumps' weights
+    are two (bumps x 6) @ (6 x span) products, zeroed beyond half_width.
     """
     if 2.0 * half_width >= dft_size:
         raise ValueError("phase-unit support exceeds the DFT grid")
     all_centers = np.concatenate([centers, -centers])
     all_signs = np.concatenate([signs, -signs])
-    span = int(np.floor(2.0 * half_width)) + 2
+    j = np.arange(int(np.floor(2.0 * half_width)) + 2)
     first = np.ceil(all_centers - half_width).astype(np.int64)
-    bins = first[:, None] + np.arange(span)[None, :]
-    weights = phase_unit(bins - all_centers[:, None], half_width)
-    weights = weights * all_signs[:, None]
-    return np.bincount(
-        (bins % dft_size).ravel(), weights=weights.ravel(), minlength=dft_size
-    )
+    d = all_centers - first
+    weights = _bumps(all_signs, d, j, half_width)
+    weights[np.abs(j - d[:, None]) > half_width] = 0.0
+    bins = (first[:, None] + j) % dft_size
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=dft_size)
 
 
 def fvn_phase(spec: FvnSpec) -> np.ndarray:

@@ -145,6 +145,7 @@ def multiplex(signals: Iterable[SampledSignal]) -> SampledSignal:
         elif len(s) > out.size:
             out = np.concatenate((out, np.zeros(len(s) - out.size)))
         out[: len(s)] += s.samples
+        del s  # not alive while the iterable makes the next signal
     if out is None:
         raise ValueError("nothing to multiplex")
     return SampledSignal(out, fs)

@@ -395,6 +395,11 @@ def test_align_holds_few_record_lengths(tmp_path, traced_peak):
     (~43 B/sample).  The positions alive through the transforms read 49."""
     simulate, align = drift_commands(tmp_path)
     assert run(*simulate) == 0
+    # np.median, which fits the lag line, imports numpy.ma on its first call
+    # in a process: ~0.5 MB of module state (~4 B/sample here), not arrays
+    # of align's, so it is loaded before tracing
+    import numpy.ma  # noqa: F401
+
     code, peak = traced_peak(run, *align)
     assert code == 0
     assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 46.0

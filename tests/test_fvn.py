@@ -7,6 +7,7 @@ from fvnlab import (
     FvnSpec,
     SIX_TERM_COEFFS,
     center_pulse,
+    fvn,
     fvn_phase,
     phase_unit,
     synthesize_unit_fvn,
@@ -125,6 +126,66 @@ def test_phase_unit_is_even():
 def test_phase_unit_rejects_bad_half_width():
     with pytest.raises(ValueError):
         phase_unit(0.0, 0.0)
+
+
+def _dense_phase_unit(offset, half_width):
+    """phase_unit as six cosines of every offset: the reference for the
+    separable form synthesis uses."""
+    inside = np.abs(offset) <= half_width
+    x = np.where(inside, offset, 0.0) * (np.pi / half_width)
+    acc = np.zeros_like(x)
+    for m, a in enumerate(SIX_TERM_COEFFS):
+        acc += a * np.cos(m * x)
+    return np.where(inside, acc, 0.0)
+
+
+def _dense_accumulate_phase(dft_size, centers, signs, half_width):
+    """fvn._accumulate_phase with every bump evaluated densely."""
+    all_centers = np.concatenate([centers, -centers])
+    all_signs = np.concatenate([signs, -signs])
+    span = int(np.floor(2.0 * half_width)) + 2
+    first = np.ceil(all_centers - half_width).astype(np.int64)
+    bins = first[:, None] + np.arange(span)[None, :]
+    weights = _dense_phase_unit(bins - all_centers[:, None], half_width)
+    weights = weights * all_signs[:, None]
+    return np.bincount(
+        (bins % dft_size).ravel(), weights=weights.ravel(), minlength=dft_size
+    )
+
+
+# f_d one bin (44100 / 512 Hz on 512 bins) puts every center on a bin, and
+# b_w = 2 f_d makes the half-width exactly 10 bins: the end bins of each
+# bump sit at +-half_width, the edge of the support mask
+ON_BIN = FvnSpec(
+    sigma_t=0.001, f_d=44100.0 / 512, b_w=2 * 44100.0 / 512, dft_size_k=512
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FvnSpec(sigma_t=t, seed=s) for t in (0.005, 0.010) for s in (0, 1, 2)]
+    + [FvnSpec(sigma_t=0.1, seed=s) for s in (0, 1)]
+    + [
+        FvnSpec(sigma_t=0.01, b_w=20.0, seed=3),  # b_w = f_d
+        FvnSpec(sigma_t=0.01, b_w=80.0, seed=3),  # b_w = 4 f_d
+        FvnSpec(sigma_t=0.01, phi_max=np.pi, seed=3),
+        FvnSpec(sigma_t=0.01, dft_size_k=16384, seed=3),  # twice the default
+        ON_BIN,
+    ],
+)
+def test_separable_phase_matches_the_dense_bumps(monkeypatch, spec):
+    phase, unit = fvn_phase(spec), synthesize_unit_fvn(spec).samples
+    monkeypatch.setattr(fvn, "_accumulate_phase", _dense_accumulate_phase)
+    dense, dense_unit = fvn_phase(spec), synthesize_unit_fvn(spec).samples
+    assert np.max(np.abs(phase - dense)) <= 1e-12
+    assert np.max(np.abs(unit - dense_unit)) <= 1e-12 * np.max(np.abs(dense_unit))
+
+
+def test_on_bin_case_reaches_the_support_edge():
+    """ON_BIN's half-width is whole and its centers integers."""
+    k = ON_BIN.dft_size_k
+    assert (SIX_TERM_COEFFS.size - 1) * ON_BIN.b_w * k / ON_BIN.fs == 10.0
+    assert ON_BIN.f_d * k / ON_BIN.fs == 1.0
 
 
 def test_fvn_phase_is_odd_symmetric():

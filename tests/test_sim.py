@@ -64,6 +64,20 @@ def test_simulate_reads_a_stream_as_a_list_bit_for_bit():
     assert np.array_equal(streamed.samples, want)
 
 
+def test_simulate_holds_one_path_output_at_a_time(traced_peak):
+    """Four 200-tap FIR paths after a cubic: the sum and the path being
+    made with its temporaries (~32 B per recorded sample).  The previous
+    path's output kept alive through the next path reads 40."""
+    rng = np.random.default_rng(6)
+    x = SampledSignal(rng.standard_normal(400_000), FS)
+    target = SimTarget(
+        paths=[rng.standard_normal(200) for _ in range(4)],
+        nonlinearity=np.array([1.0, 0.0, 0.1]),
+    )
+    out, peak = traced_peak(simulate, target, [x] * 4)
+    assert peak / len(out) <= 34.0
+
+
 def test_cubic_nonlinearity_has_textbook_harmonic_amplitudes():
     """For A sin(wt) through x + 0.1 x^3: the fundamental grows to
     A + 0.075 A^3 and a third harmonic of 0.025 A^3 appears."""
