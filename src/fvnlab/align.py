@@ -234,20 +234,26 @@ def _read_block(x: np.ndarray, start: int, size: int) -> np.ndarray:
     return out
 
 
+def _median(x: np.ndarray) -> np.float64:
+    """np.median(x)'s value, without the numpy.ma its first call imports."""
+    s, h = np.sort(x), x.size // 2
+    return s[h] if x.size % 2 else (s[h - 1] + s[h]) / 2
+
+
 def _fit_lag_line(
     centres: np.ndarray, lags: np.ndarray
 ) -> tuple[float, float, np.ndarray, float]:
     """(slope, intercept, used, residual RMS): a Theil-Sen line, then least
     squares through the lags within 0.5 samples of it.  The Theil-Sen slope
-    is the median over the pairs of blocks half the record apart, so it
-    takes as many slopes as there are blocks, not their square."""
+    is the median (_median) over the pairs of blocks half the record apart,
+    so it takes as many slopes as there are blocks, not their square."""
     finite = np.isfinite(lags)
     c, lag = centres[finite], lags[finite]
     if c.size < 3:
         raise ValueError(f"{c.size} block(s) hold signal in band; tracking needs 3")
     half = c.size // 2
-    slope = np.median((lag[half:] - lag[:-half]) / (c[half:] - c[:-half]))
-    intercept = np.median(lag - slope * c)
+    slope = _median((lag[half:] - lag[:-half]) / (c[half:] - c[:-half]))
+    intercept = _median(lag - slope * c)
     used = finite.copy()
     used[finite] = np.abs(lag - slope * c - intercept) <= 0.5
     if np.count_nonzero(used) < 2:

@@ -10,7 +10,7 @@ periods first and then compresses one short buffer per code row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,14 +159,10 @@ def separate_nonlinear(result: MeasurementResult) -> MeasurementResult:
     if len(irs) < 2:
         raise ValueError("nonlinearity separation needs at least two code channels")
     stack = np.stack([ir.samples for ir in irs])
-    mean = stack.mean(axis=0)
-    fs = irs[0].fs
+    mean, fs = result.linear_ir.samples, result.linear_ir.fs
     squared = (stack - mean) ** 2
-    return MeasurementResult(
-        per_code_irs=irs,
-        linear_ir=SampledSignal(mean, fs),
-        period_no=result.period_no,
-        periods_averaged=result.periods_averaged,
+    return replace(
+        result,
         deviations=[SampledSignal(row - mean, fs) for row in stack],
         deviation_rms=np.sqrt(np.mean(squared, axis=1)),
         pooled_deviation_rms=float(np.sqrt(np.mean(squared))),

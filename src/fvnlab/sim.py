@@ -124,11 +124,11 @@ class SimTarget:
 
 
 def _polynomial(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^(k+1) by Horner's rule, in the one buffer returned."""
     acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    for c in coeffs:
-        term *= x
-        acc += c * term
+    for c in coeffs[::-1]:
+        acc += c
+        acc *= x
     return acc
 
 

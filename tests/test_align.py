@@ -26,6 +26,7 @@ from fvnlab import (
 from fvnlab.align import (
     PhaseTrajectory,
     _interval_frequency,
+    _median,
     build_probe,
     build_warp_map,
     track_phase,
@@ -306,3 +307,17 @@ def test_block_delay_warp_spans_the_record_at_the_fitted_rate():
     folded = dataclasses.replace(delays, slope=-1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         folded.warp(2.0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 37, 40, 399])
+def test_median_is_np_median_bit_for_bit(size):
+    """The lag line's median: the middle value, or the mean of the two
+    middle ones, as np.median gives them, on odd and even sizes, ties
+    included; its input is left unsorted.  (Zeros of both signs compare
+    equal, so either may come out as a tie's middle value.)"""
+    rng = np.random.default_rng(size)
+    for x in (rng.standard_normal(size), 1e6 * rng.standard_normal(size),
+              np.round(3.0 * rng.standard_normal(size)) + 0.5):
+        before = x.copy()
+        assert _median(x).tobytes() == np.median(x).tobytes()
+        assert np.array_equal(x, before)

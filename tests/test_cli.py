@@ -364,22 +364,22 @@ def test_drifted_simulate_holds_few_record_lengths(tmp_path, traced_peak):
 
 def test_undrifted_simulate_holds_few_record_lengths(tmp_path, traced_peak):
     """drift_commands' cubic path with noise and no drift: the mix, the
-    path's output and the polynomial's two temporaries (~32 B/sample).  A
-    sum allocated before the polynomial runs reads 40."""
+    polynomial's one buffer and the path's output (~26 B/sample).  A sum
+    allocated before the polynomial runs reads 34."""
     simulate, _ = drift_commands(tmp_path)
     simulate.remove("--drift-ppm")
     simulate.remove(20.0)
     code, peak = traced_peak(run, *simulate)
     assert code == 0
-    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 37.0
+    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 29.0
 
 
 def test_one_path_per_channel_simulate_reads_one_channel_at_a_time(
     tmp_path, traced_peak
 ):
     """Four codes through four 200-tap FIRs, one per channel: the sum, one
-    channel and its path's buffers (~48 B/sample).  Every channel read
-    before the first path plays reads 64."""
+    channel and its path's buffers (~35 B/sample).  Every channel read
+    before the first path plays reads 59."""
     gen, target = tmp_path / "gen", tmp_path / "target.json"
     firs = np.random.default_rng(5).standard_normal((4, 200)) * 0.05
     target.write_text(json.dumps({"paths": firs.tolist()}))
@@ -387,7 +387,7 @@ def test_one_path_per_channel_simulate_reads_one_channel_at_a_time(
     sim = tmp_path / "sim"
     code, peak = traced_peak(run, "simulate", gen, "--config", target, "--out-dir", sim)
     assert code == 0
-    assert peak / read_wav(sim / "recording.wav").samples.size <= 56.0
+    assert peak / read_wav(sim / "recording.wav").samples.size <= 46.0
 
 
 def test_align_holds_few_record_lengths(tmp_path, traced_peak):
@@ -395,14 +395,34 @@ def test_align_holds_few_record_lengths(tmp_path, traced_peak):
     (~43 B/sample).  The positions alive through the transforms read 49."""
     simulate, align = drift_commands(tmp_path)
     assert run(*simulate) == 0
-    # np.median, which fits the lag line, imports numpy.ma on its first call
-    # in a process: ~0.5 MB of module state (~4 B/sample here), not arrays
-    # of align's, so it is loaded before tracing
-    import numpy.ma  # noqa: F401
-
     code, peak = traced_peak(run, *align)
     assert code == 0
     assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 46.0
+
+
+def test_align_loads_no_numpy_ma(tmp_path):
+    """The lag line's medians sort the few block lags themselves: np.median
+    would import numpy.ma (~0.5 MB, ~10 ms) on its first call in a fresh
+    `fvnlab align`.  A fresh interpreter shows it, since this test process
+    may have loaded numpy.ma already."""
+    gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=5) == 0
+    assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
+    argv = [str(a) for a in ("align", sim / "recording.wav", gen, "--out-dir", ali)]
+    code = (
+        "import sys; from fvnlab.cli import main; "
+        f"print(main({argv!r}), 'numpy.ma' in sys.modules)"
+    )
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_simulate_reports_the_recorded_peak(tmp_path):

@@ -66,8 +66,8 @@ def test_simulate_reads_a_stream_as_a_list_bit_for_bit():
 
 def test_simulate_holds_one_path_output_at_a_time(traced_peak):
     """Four 200-tap FIR paths after a cubic: the sum and the path being
-    made with its temporaries (~32 B per recorded sample).  The previous
-    path's output kept alive through the next path reads 40."""
+    made with its temporaries (~25 B per recorded sample).  The previous
+    path's output kept alive through the next path reads 33."""
     rng = np.random.default_rng(6)
     x = SampledSignal(rng.standard_normal(400_000), FS)
     target = SimTarget(
@@ -75,7 +75,43 @@ def test_simulate_holds_one_path_output_at_a_time(traced_peak):
         nonlinearity=np.array([1.0, 0.0, 0.1]),
     )
     out, peak = traced_peak(simulate, target, [x] * 4)
-    assert peak / len(out) <= 34.0
+    assert peak / len(out) <= 29.0
+
+
+def power_sum(x, coeffs):
+    """sum_k coeffs[k] x^(k+1) as a running power and a sum of its
+    multiples: the oracle for _polynomial."""
+    acc = np.zeros_like(x)
+    term = np.ones_like(x)
+    for c in coeffs:
+        term *= x
+        acc += c * term
+    return acc
+
+
+def test_polynomial_matches_the_power_sum():
+    """Horner's rule stays within 2e-15 of the power sum's peak over random
+    coefficient sets of 1-6 terms, zeros among them, on inputs scaled 0.1
+    to 3; the identity [1.0] returns its input's bits."""
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        coeffs = rng.standard_normal(rng.integers(1, 7))
+        coeffs[rng.random(coeffs.size) < 0.3] = 0.0
+        x = rng.uniform(0.1, 3.0) * rng.standard_normal(1000)
+        want = power_sum(x, coeffs)
+        err = np.max(np.abs(_polynomial(x, coeffs) - want))
+        assert err <= 2e-15 * np.max(np.abs(want))
+    x = rng.standard_normal(1000)
+    identity = np.array([1.0])
+    assert _polynomial(x, identity).tobytes() == power_sum(x, identity).tobytes()
+
+
+def test_polynomial_holds_only_its_output(traced_peak):
+    """The cubic on 1 M samples holds the buffer it returns (8 B/sample);
+    the power sum's running power and per-term product read 24."""
+    x = np.random.default_rng(9).standard_normal(1_000_000)
+    _, peak = traced_peak(_polynomial, x, np.array([1.0, 0.0, 0.1]))
+    assert peak / x.size <= 9.0
 
 
 def test_cubic_nonlinearity_has_textbook_harmonic_amplitudes():
