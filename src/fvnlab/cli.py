@@ -26,7 +26,7 @@ from .align import apply_warp, track_block_delays
 from .codes import build_code_matrix
 from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
-from .sequence import ShapingFilter, coded_channels, inverse_shape, multiplex
+from .sequence import ShapingFilter, coded_channels, multiplex
 from .signal import SampledSignal
 from .sim import DriftSpec, SimTarget, _capture, _play
 from .spectrum import power_spectrum, third_octave_smooth
@@ -391,8 +391,6 @@ def cmd_measure(args) -> int:
     path, manifest, recorded = _read_recording(args)
     codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape")
     start = time.perf_counter()
-    if filt is not None:
-        recorded = inverse_shape(recorded, filt)
     rows = [int(ch["code_row"]) for ch in manifest["channels"]]
     result = demultiplex(
         recorded,
@@ -401,6 +399,7 @@ def cmd_measure(args) -> int:
         int(manifest["period_no"]),
         code_row_indices=rows,
         total_periods=int(manifest["repetitions"]),
+        filt=filt,
     )
     if len(units) > 1:  # the linear/nonlinear split needs several codes
         result = separate_nonlinear(result)

@@ -129,6 +129,8 @@ def _accumulate_phase(
     from c, d = c - first, and with w_m = m pi / half_width, cos(w_m (j -
     d)) = cos(w_m d) cos(w_m j) + sin(w_m d) sin(w_m j): all bumps' weights
     are two (bumps x 6) @ (6 x span) products, zeroed beyond half_width.
+    As half_width - 1 < d <= half_width up to rounding, only the first
+    column and the last two can lie beyond it.
     """
     if 2.0 * half_width >= dft_size:
         raise ValueError("phase-unit support exceeds the DFT grid")
@@ -138,7 +140,9 @@ def _accumulate_phase(
     first = np.ceil(all_centers - half_width).astype(np.int64)
     d = all_centers - first
     weights = _bumps(all_signs, d, j, half_width)
-    weights[np.abs(j - d[:, None]) > half_width] = 0.0
+    edge = [0, -2, -1]
+    beyond = np.abs(j[edge] - d[:, None]) > half_width
+    weights[:, edge] = np.where(beyond, 0.0, weights[:, edge])
     bins = (first[:, None] + j) % dft_size
     return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=dft_size)
 

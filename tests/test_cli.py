@@ -125,7 +125,7 @@ def test_shaped_generation_and_analysis(tmp_path):
     slope = np.polyfit(np.log2(freqs[band]), levels[band], 1)[0]
     assert -4.5 < slope < -1.5  # an FVN sequence is flat; the tilt is the filter
 
-    # the measurement loop undoes the shaping before demultiplexing
+    # the measurement loop undoes the shaping while demultiplexing
     assert run("simulate", gen, "--out-dir", sim) == 0
     assert run("measure", sim / "recording.wav", gen, "--out-dir", meas) == 0
     ir = read_wav(meas / "linear_ir.wav").samples
@@ -135,18 +135,27 @@ def test_shaped_generation_and_analysis(tmp_path):
 
 def test_measure_on_a_shaped_set_assembles_and_shapes_nothing(tmp_path, monkeypatch):
     """measure compresses with the unit pulses alone; rebuilding the emitted
-    signals would cost an assembly and a filter pass per code."""
+    signals would cost an assembly and a filter pass per code.  It undoes
+    the shaping on each code's fold, not on a record-length signal."""
     shape, gen, sim = tmp_path / "shape.json", tmp_path / "gen", tmp_path / "sim"
     write_filter(shape, ShapingFilter(np.array([-0.5])))
     kw = dict(sigma_t=0.005, period_no=4410, reps=12, codes=2, shape=shape)
     assert generate(gen, **kw) == 0
     assert run("simulate", gen, "--out-dir", sim) == 0
+    length = len(read_wav(sim / "recording.wav"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("measure rebuilt the emitted signals")
 
+    def short_only(signal, filt):
+        if len(signal) >= length:
+            raise AssertionError("measure unshaped the whole recording")
+        return inverse_shape(signal, filt)
+
     monkeypatch.setattr(sequence, "assemble_sequence", refuse)
     monkeypatch.setattr(sequence, "shape_spectrum", refuse)
+    for module in (sequence, fvnlab.measure, fvnlab.cli):
+        monkeypatch.setattr(module, "inverse_shape", short_only, raising=False)
     assert run("measure", sim / "recording.wav", gen, "--out-dir", tmp_path / "m") == 0
 
 

@@ -181,6 +181,36 @@ def test_separable_phase_matches_the_dense_bumps(monkeypatch, spec):
     assert np.max(np.abs(unit - dense_unit)) <= 1e-12 * np.max(np.abs(dense_unit))
 
 
+def _full_mask_accumulate_phase(dft_size, centers, signs, half_width):
+    """fvn._accumulate_phase testing every bin of every bump against the
+    half-width."""
+    all_centers = np.concatenate([centers, -centers])
+    all_signs = np.concatenate([signs, -signs])
+    j = np.arange(int(np.floor(2.0 * half_width)) + 2)
+    first = np.ceil(all_centers - half_width).astype(np.int64)
+    d = all_centers - first
+    weights = fvn._bumps(all_signs, d, j, half_width)
+    weights[np.abs(j - d[:, None]) > half_width] = 0.0
+    bins = (first[:, None] + j) % dft_size
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=dft_size)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FvnSpec(sigma_t=t, seed=s)
+        for t in (0.001, 0.003, 0.005, 0.010, 0.05, 0.1)
+        for s in (0, 1)
+    ]
+    + [FvnSpec(sigma_t=0.01, b_w=b, seed=4) for b in (7.0, 13.3, 20.0, 55.5, 80.0)]
+    + [ON_BIN],
+)
+def test_edge_columns_mask_as_the_full_mask(monkeypatch, spec):
+    phase = fvn_phase(spec)
+    monkeypatch.setattr(fvn, "_accumulate_phase", _full_mask_accumulate_phase)
+    assert phase.tobytes() == fvn_phase(spec).tobytes()
+
+
 def test_on_bin_case_reaches_the_support_edge():
     """ON_BIN's half-width is whole and its centers integers."""
     k = ON_BIN.dft_size_k

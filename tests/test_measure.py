@@ -1,8 +1,14 @@
 """Pulse compression and code-averaged demultiplexing on synthetic chains."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fvnlab
 from fvnlab import (
     FvnSpec,
     SampledSignal,
@@ -10,6 +16,8 @@ from fvnlab import (
     build_code_matrix,
     center_pulse,
     demultiplex,
+    design_slope_filter,
+    inverse_shape,
     measure,
     multiplex,
     noise_floor,
@@ -195,7 +203,7 @@ def composed_irs(recorded, units, codes, period_no, rows, guard_periods, total_p
     ]
 
 
-@pytest.mark.parametrize(
+FOLD_GRID = pytest.mark.parametrize(
     "k_codes, period_no, unit_len, length, guard_periods, total_periods, count",
     [
         (1, 512, 4096, 12 * 512 + 4095, 2, 12, 8),  # L > P, tail capped
@@ -206,13 +214,31 @@ def composed_irs(recorded, units, codes, period_no, rows, guard_periods, total_p
         (8, 200, 129, 530 * 200, 2, 519, 512),  # L < P, 3 left over
     ],
 )
-def test_fold_then_compress_matches_compress_then_average(
-    k_codes, period_no, unit_len, length, guard_periods, total_periods, count
-):
+
+
+def grid_case(k_codes, period_no, unit_len, length):
+    """A random recording and units of unequal length for one grid row."""
     rng = np.random.default_rng(30 + k_codes)
     codes = build_code_matrix(k_codes)
     recorded = SampledSignal(rng.standard_normal(length), FS)
     units = [SampledSignal(rng.standard_normal(unit_len + 37 * i), FS) for i in range(k_codes)]
+    return recorded, units, codes
+
+
+def assert_matches(result, expected, count):
+    assert result.periods_averaged == count
+    for ir, want in zip(result.per_code_irs, expected):
+        assert ir.samples.shape == want.shape
+        assert np.max(np.abs(ir.samples - want)) <= 1e-12 * np.max(np.abs(want))
+    mean = np.mean(expected, axis=0)
+    assert np.max(np.abs(result.linear_ir.samples - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+
+@FOLD_GRID
+def test_fold_then_compress_matches_compress_then_average(
+    k_codes, period_no, unit_len, length, guard_periods, total_periods, count
+):
+    recorded, units, codes = grid_case(k_codes, period_no, unit_len, length)
     rows = list(range(k_codes))[::-1]  # not the default pairing
     expected = composed_irs(
         recorded, units, codes, period_no, rows, guard_periods, total_periods
@@ -221,12 +247,84 @@ def test_fold_then_compress_matches_compress_then_average(
         recorded, units, codes, period_no, code_row_indices=rows,
         guard_periods=guard_periods, total_periods=total_periods,
     )
-    assert result.periods_averaged == count
-    for ir, want in zip(result.per_code_irs, expected):
-        assert ir.samples.shape == want.shape
-        assert np.max(np.abs(ir.samples - want)) <= 1e-12 * np.max(np.abs(want))
-    mean = np.mean(expected, axis=0)
-    assert np.max(np.abs(result.linear_ir.samples - mean)) <= 1e-12 * np.max(np.abs(mean))
+    assert_matches(result, expected, count)
+
+
+SLOPE = design_slope_filter(-3.0, FS)  # 32 poles
+
+
+@FOLD_GRID
+def test_shaped_fold_matches_unshaping_the_recording_first(
+    k_codes, period_no, unit_len, length, guard_periods, total_periods, count
+):
+    """A(z) on each fold, started 32 samples early, gives inverse_shape of
+    the whole recording: at the start of a guardless block, where the early
+    start reads before the recording, and where the block runs past its
+    end, where inverse_shape cuts A's spill and the periods are zero-padded."""
+    recorded, units, codes = grid_case(k_codes, period_no, unit_len, length)
+    rows = list(range(k_codes))[::-1]
+    kw = dict(
+        code_row_indices=rows, guard_periods=guard_periods, total_periods=total_periods
+    )
+    unshaped = inverse_shape(recorded, SLOPE)
+    expected = composed_irs(
+        unshaped, units, codes, period_no, rows, guard_periods, total_periods
+    )
+    result = demultiplex(recorded, units, codes, period_no, filt=SLOPE, **kw)
+    assert_matches(result, expected, count)
+    first = demultiplex(unshaped, units, codes, period_no, **kw)
+    assert_matches(result, [ir.samples for ir in first.per_code_irs], count)
+
+
+def shaped_case(periods, k_codes=8, period_no=4410):
+    rng = np.random.default_rng(40)
+    codes = build_code_matrix(k_codes)
+    recorded = SampledSignal(rng.standard_normal(periods * period_no), FS)
+    units = [SampledSignal(rng.standard_normal(4096), FS) for _ in range(k_codes)]
+    return recorded, units, codes, period_no
+
+
+def test_shaped_demultiplex_holds_no_record_length(traced_peak):
+    """The fold reads the recording in place and A(z) runs on the folds:
+    8 codes on a ~1 M-sample recording hold ~1.3 bytes per recorded sample.
+    inverse_shape of the recording first holds ~9, and folds that copy the
+    overlapping periods ~15."""
+    recorded, units, codes, period_no = shaped_case(260)
+
+    def shaped():
+        return demultiplex(recorded, units, codes, period_no, filt=SLOPE)
+
+    result, peak = traced_peak(shaped)
+    assert result.periods_averaged == 256
+    assert peak <= 2.0 * len(recorded)
+
+
+BLAS_RUN = """
+import sys
+from test_measure import SLOPE, shaped_case
+from fvnlab import demultiplex
+result = demultiplex(*shaped_case(132), filt=SLOPE)
+sys.stdout.buffer.write(b"".join(ir.samples.tobytes() for ir in result.per_code_irs))
+"""
+
+
+def test_shaped_demultiplex_is_the_same_on_one_and_two_blas_threads():
+    """OpenBLAS may split the fold's products over threads; each output
+    must still sum its periods in one order."""
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_RUN],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 8 * 4410 * 8
+    assert outputs[0] == outputs[1]
 
 
 def test_demultiplex_stays_off_the_full_length_path(monkeypatch):
