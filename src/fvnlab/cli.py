@@ -341,7 +341,8 @@ def cmd_simulate(args) -> int:
     played = _play(target, drive)
     del drive
     source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
-    _check_drift(source, target.drift, len(played), int(manifest["period_no"]))
+    period_no = int(manifest["period_no"])
+    _check_drift(source, target.drift, len(played), period_no)
     played_at = time.perf_counter()
     recorded = _capture(target, played, seed)
     captured = time.perf_counter()
@@ -355,9 +356,12 @@ def cmd_simulate(args) -> int:
     }
     fileio.write_json(out / "manifest.json", manifest)
     peak, headroom = _peak_and_headroom(recorded)
+    longest = max(p.size for p in target.paths)
     report = {
         "recorded_peak": peak,
         "headroom_db": headroom,
+        "period_no": period_no,
+        "longest_path_samples": longest,
         "timings_s": {
             "paths_s": played_at - start,
             "capture_s": captured - played_at,
@@ -366,6 +370,11 @@ def cmd_simulate(args) -> int:
     }
     fileio.write_json(out / "report.json", report)
     print(f"wrote recording.wav ({recorded.duration:.2f} s) and report to {out}")
+    if longest > period_no:
+        print(
+            f"note: a path FIR of {longest} samples outlasts the "
+            f"{period_no}-sample period; its tail folds into the next period"
+        )
     return 0
 
 

@@ -51,10 +51,13 @@ def averaging_block(
     Of the length // period_no periods (capped at total_periods), guard
     periods at each end are discarded and the largest multiple of the code
     length n that fits is centred in what remains.  A plan with fewer than
-    n + 2 * guard_periods periods leaves no block and is refused.
+    n + 2 * guard_periods periods leaves no block and is refused, as is a
+    negative guard_periods.
     """
     if period_no < 1:
         raise ValueError(f"period_no must be >= 1, got {period_no}")
+    if guard_periods < 0:
+        raise ValueError(f"guard_periods must be >= 0, got {guard_periods}")
     total = length // period_no
     if total_periods is not None:
         total = min(total, total_periods)

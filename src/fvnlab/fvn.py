@@ -12,7 +12,7 @@ Conventions used throughout:
     unwraps that buffer into the compact form used when the signal is
     actually emitted through a linear processing chain.
   * Phase spectra are odd-symmetric (phase[0] = phase[K/2] = 0 and
-    phase[K - k] = -phase[k]) so the synthesized waveform is real.
+    phase[K - k] = -phase[k] exactly) so the synthesized waveform is real.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ def _accumulate_phase(
 ) -> np.ndarray:
     """Sum signed phase-unit bumps and their odd-symmetric mirrors.
 
-    Each center c contributes s * w(k - c) and its mirror at -c contributes
-    -s * w(k + c), both evaluated on the circular bin axis, which makes the
-    total phase odd-symmetric by construction.  Bin first + j lies j - d
+    Each center c adds s * w(k - c) to q on the circular bin axis; its
+    mirror at -c adds -s * w(k + c) = -s * w(-k - c), q read at -k, so the
+    phase q[k] - q[-k mod K] is exactly odd.  Bin first + j lies j - d
     from c, d = c - first, and with w_m = m pi / half_width, cos(w_m (j -
     d)) = cos(w_m d) cos(w_m j) + sin(w_m d) sin(w_m j): all bumps' weights
     are two (bumps x 6) @ (6 x span) products, zeroed beyond half_width.
@@ -134,17 +134,16 @@ def _accumulate_phase(
     """
     if 2.0 * half_width >= dft_size:
         raise ValueError("phase-unit support exceeds the DFT grid")
-    all_centers = np.concatenate([centers, -centers])
-    all_signs = np.concatenate([signs, -signs])
     j = np.arange(int(np.floor(2.0 * half_width)) + 2)
-    first = np.ceil(all_centers - half_width).astype(np.int64)
-    d = all_centers - first
-    weights = _bumps(all_signs, d, j, half_width)
+    first = np.ceil(centers - half_width).astype(np.int64)
+    d = centers - first
+    weights = _bumps(signs, d, j, half_width)
     edge = [0, -2, -1]
     beyond = np.abs(j[edge] - d[:, None]) > half_width
     weights[:, edge] = np.where(beyond, 0.0, weights[:, edge])
     bins = (first[:, None] + j) % dft_size
-    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=dft_size)
+    q = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=dft_size)
+    return q - np.roll(q[::-1], 1)
 
 
 def fvn_phase(spec: FvnSpec) -> np.ndarray:

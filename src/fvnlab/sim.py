@@ -75,7 +75,8 @@ class SimTarget:
 
     nonlinearity lists polynomial coefficients [c1, c2, ...] applied as
     c1 x + c2 x^2 + ...; the default [1] is the identity.  Path FIRs should
-    stay shorter than the measurement period they will be probed with.
+    fit in the measurement period they will be probed with; `fvnlab
+    simulate` reports the longest and notes one that does not.
     """
 
     paths: list[np.ndarray]

@@ -449,6 +449,40 @@ def test_simulate_reports_the_recorded_peak(tmp_path):
         assert isinstance(value, float) and np.isfinite(value) and value >= 0.0
 
 
+def test_simulate_notes_a_path_that_outlasts_the_period(tmp_path, capsys):
+    """A 5000-tap room at period 4410: report.json gives both lengths, and
+    stdout says the tail folds into the next period; the run still
+    succeeds."""
+    gen, sim = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    target = tmp_path / "target.json"
+    fir = np.zeros(5000)
+    fir[0], fir[-1] = 1.0, 0.01
+    SimTarget(paths=[fir]).to_json(target)
+    capsys.readouterr()
+    assert run("simulate", gen, "--config", target, "--out-dir", sim) == 0
+    report = read_json(sim / "report.json")
+    assert report["period_no"] == 4410
+    assert report["longest_path_samples"] == 5000
+    notes = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
+    assert notes == [
+        "note: a path FIR of 5000 samples outlasts the 4410-sample period; "
+        "its tail folds into the next period"
+    ]
+
+
+def test_identity_simulate_notes_nothing(tmp_path, capsys):
+    gen, sim = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
+    capsys.readouterr()
+    assert run("simulate", gen, "--out-dir", sim) == 0
+    report = read_json(sim / "report.json")
+    assert report["period_no"] == 4410
+    assert report["longest_path_samples"] == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("wrote recording.wav")
+
+
 def test_align_reports_its_blocks(tmp_path):
     """report.json says how well the line fits the block delays; warp.csv
     holds each block's centre on both clocks."""

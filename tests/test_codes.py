@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fvnlab import build_code_matrix, verify_orthogonality
+from fvnlab.codes import averaging_block
 
 
 def test_matrix_shape_and_entries():
@@ -64,3 +65,15 @@ def test_build_bounds():
         build_code_matrix(0)
     with pytest.raises(ValueError):
         build_code_matrix(17)
+
+
+def test_averaging_block_centres_the_block_between_guards():
+    # 12 periods, guards of 2: 8 left, the whole multiple of 2 codes
+    assert averaging_block(52920, 4410, 2) == (2, 8)
+    assert averaging_block(52920, 4410, 2, guard_periods=0) == (0, 12)
+
+
+@pytest.mark.parametrize("guard", [-1, -3])
+def test_averaging_block_refuses_negative_guards(guard):
+    with pytest.raises(ValueError, match=f"guard_periods must be >= 0, got {guard}"):
+        averaging_block(52920, 4410, 2, guard_periods=guard)

@@ -97,6 +97,14 @@ def test_synchronized_average_validation():
         synchronized_average(sig, np.array([1.0, -1.0]), 0)
 
 
+@pytest.mark.parametrize("guard", [-1, -3])
+def test_synchronized_average_refuses_negative_guards(guard):
+    """A negative guard would average from before the first period."""
+    sig = SampledSignal(np.zeros(120), FS)
+    with pytest.raises(ValueError, match=f"guard_periods must be >= 0, got {guard}"):
+        synchronized_average(sig, np.array([1.0, -1.0]), 10, guard_periods=guard)
+
+
 def two_channel_recording(h_list, period_no=4410, repetitions=12):
     """Two code channels, each through its own FIR, summed at the mic."""
     codes = build_code_matrix(2)
@@ -186,6 +194,17 @@ def test_demultiplex_validation():
         demultiplex(sig, [pulse], codes, 4410, code_row_indices=[-1])
     with pytest.raises(ValueError):
         demultiplex(SampledSignal(sig.samples, 48000.0), [pulse], codes, 4410)
+
+
+@pytest.mark.parametrize("guard", [-1, -3])
+def test_demultiplex_refuses_negative_guards(guard):
+    """A negative guard would average more periods than the plan holds
+    (14 of 12 at -1) and scale the IR down without an error."""
+    h = np.zeros(8)
+    h[0] = 1.0
+    recorded, units, codes = two_channel_recording([h, h])
+    with pytest.raises(ValueError, match=f"guard_periods must be >= 0, got {guard}"):
+        demultiplex(recorded, units, codes, 4410, guard_periods=guard, total_periods=12)
 
 
 def composed_irs(recorded, units, codes, period_no, rows, guard_periods, total_periods):
