@@ -26,7 +26,7 @@ from .align import apply_warp, track_block_delays
 from .codes import build_code_matrix
 from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
-from .sequence import ShapingFilter, coded_channels, multiplex
+from .sequence import ShapingFilter, check_plan, coded_channels, multiplex
 from .signal import SampledSignal
 from .sim import DriftSpec, SimTarget, _capture, _play
 from .spectrum import power_spectrum, third_octave_smooth
@@ -158,8 +158,15 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
     manifest = fileio.read_json(path)
     # open: simulate forwards the manifest with a "simulate" key added
     _check_keys(path, manifest, _MANIFEST_KEYS, optional=("shape",), closed=False)
+    owners = {}  # code_row -> the first channel on it
     for i, channel in enumerate(manifest["channels"]):
         _check_keys(path, channel, _CHANNEL_KEYS, f"channels[{i}].", closed=False)
+        row = channel["code_row"]
+        if row in owners:  # one row's channels cannot be told apart
+            raise ValueError(
+                f"{path}: channels[{owners[row]}] and channels[{i}] share code_row {row}"
+            )
+        owners[row] = i
     return path, manifest
 
 
@@ -202,17 +209,36 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _plan(manifest: dict) -> np.ndarray:
+    """The manifest's code matrix, once its plan passes the checks made
+    before synthesis: code count, sigma_t and fs, a plan too long for a WAV
+    file, and sequence.check_plan."""
+    codes = build_code_matrix(int(manifest["codes"]))
+    sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
+    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
+    period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
+    length = period * reps + max(0, pulse - period)
+    # check_plan refuses a pulse longer than period_no x repetitions
+    if pulse <= period * reps and length > fileio.MAX_WAV_SAMPLES:
+        raise ValueError(
+            f"period_no x repetitions plus the pulse tail is {length} samples, "
+            f"more than the {fileio.MAX_WAV_SAMPLES} a WAV file holds"
+        )
+    rows = [int(channel["code_row"]) for channel in manifest["channels"]]
+    check_plan(sigma_t, fs, rows, codes, period, reps)
+    return codes
+
+
 def _channels_from_manifest(manifest: dict, shape_source: str) -> tuple[
     np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
     """Code matrix, shaping filter, unit pulses and lazily emitted signals.
-    A filter that is unstable or whose range breaks the float32 round trip
-    and a plan too long for a WAV file are refused before anything is
+    A plan that _plan refuses and a filter that is unstable or whose range
+    breaks the float32 round trip are refused before anything is
     synthesized; a refused filter's message starts with `shape_source`,
     where its coefficients came from."""
-    codes = build_code_matrix(int(manifest["codes"]))
+    codes = _plan(manifest)
     sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
-    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
     filt = None
     if manifest.get("shape"):
         try:
@@ -226,14 +252,6 @@ def _channels_from_manifest(manifest: dict, shape_source: str) -> tuple[
                 f"0..fs/2, more than the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 "
                 "round trip survives"
             )
-    period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
-    length = period * reps + max(0, pulse - period)
-    # coded_channels refuses a pulse longer than period_no x repetitions
-    if pulse <= period * reps and length > fileio.MAX_WAV_SAMPLES:
-        raise ValueError(
-            f"period_no x repetitions plus the pulse tail is {length} samples, "
-            f"more than the {fileio.MAX_WAV_SAMPLES} a WAV file holds"
-        )
     channels = manifest["channels"]
     units, emitted = coded_channels(
         sigma_t,
@@ -241,8 +259,8 @@ def _channels_from_manifest(manifest: dict, shape_source: str) -> tuple[
         [int(channel["seed"]) for channel in channels],
         [int(channel["code_row"]) for channel in channels],
         codes,
-        period,
-        reps,
+        int(manifest["period_no"]),
+        int(manifest["repetitions"]),
         filt,
     )
     return codes, filt, units, emitted
@@ -313,6 +331,7 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     path, manifest = _read_manifest(args.manifest)
+    _plan(manifest)  # forward no plan that measure would refuse
     channels = manifest["channels"]
     if args.config:
         target = _read_target(args.config)

@@ -51,9 +51,15 @@ def averaging_block(
     Of the length // period_no periods (capped at total_periods), guard
     periods at each end are discarded and the largest multiple of the code
     length n that fits is centred in what remains.  A plan with fewer than
-    n + 2 * guard_periods periods leaves no block and is refused, as is a
-    negative guard_periods.
+    n + 2 * guard_periods periods leaves no block and is refused, as are a
+    negative guard_periods and a length, period_no or guard_periods that is
+    not an integer (numpy integers are).
     """
+    for name, value in (
+        ("length", length), ("period_no", period_no), ("guard_periods", guard_periods)
+    ):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if period_no < 1:
         raise ValueError(f"period_no must be >= 1, got {period_no}")
     if guard_periods < 0:

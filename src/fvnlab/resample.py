@@ -4,20 +4,25 @@ The interpolator is a Hann-windowed sinc with 32 taps on each side of the
 requested position (64 taps total).  At integer positions the kernel
 collapses to a unit impulse, so on-grid evaluation is exact.  Taps and
 positions outside the signal read zeros; the signal itself is read, with no
-zero-padded copy.  Evaluation is blocked: cache-sized chunks of positions,
-with the taps in the inner loop over one-chunk vectors.
+zero-padded copy.  Evaluation is blocked: each chunk of positions is one
+(positions x taps) table of tap distances, which the taps divide in one
+pass and a constant three-row tap basis sums in one product (Smith &
+Gossett's windowed-sinc evaluation, with the weights' division hoisted
+out of the per-tap arithmetic).
 
 A long call splits its positions into one contiguous slice per available
 CPU (at most one per _MIN_SLICE positions, _MAX_WORKERS in all) and runs
 the slices at once on a concurrent.futures thread pool; numpy releases the
 GIL inside each vector operation.  One worker runs in the calling thread,
-with no pool.  Each output sample takes the same operations in the same
-order on any slice or chunk, so the output does not depend on the CPU
-count.  Threads work in _THREAD_CHUNK chunks: with shorter ones their vector
-operations are too brief, and the threads spend their time handing the
-GIL back and forth.  One worker keeps the shorter _CHUNK, whose scratch is
-smaller.  The calling thread allocates every worker's scratch, and the
-workers allocate nothing of a chunk's length: glibc keeps what a thread
+with no pool.  Every step of a position is local to its table row: the one
+BLAS product, which builds the distances, is exact, and the sums run in
+numpy's einsum, because OpenBLAS's sum for a row depends on the row's
+offset within the call.  So the output does not depend on the CPU count or
+the chunk length.  Threads work in _THREAD_CHUNK chunks: with shorter ones
+their vector operations are too brief, and the threads spend their time
+handing the GIL back and forth.  One worker keeps the shorter _CHUNK, whose
+table is smaller.  The calling thread allocates every worker's scratch, and
+the workers allocate nothing of a chunk's length: glibc keeps what a thread
 allocates in that thread's own arena, which raises the process's peak
 memory.  resample_oversampled evaluates through a 2x upsampled copy, the
 one record-length buffer it adds besides the output, and doubles the
@@ -41,11 +46,13 @@ import os
 from collections.abc import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 HALF_TAPS = 32
-_CHUNK = 1 << 13  # positions per chunk with one worker
-_THREAD_CHUNK = 1 << 16  # positions per chunk with several
-_MIN_SLICE = 4 * _THREAD_CHUNK  # keeps the scratch under 15 B per position
+_CHUNK = 1 << 10  # positions per chunk with one worker
+_THREAD_CHUNK = 1 << 12  # positions per chunk with several
+_MIN_SLICE = 1 << 18  # keeps the scratch under 15 B per position
+_MAX_RUNS = 32  # a chunk whose index step changes this often gathers
 _MAX_WORKERS = 8
 _BLOCK = 1 << 14  # shortest overlap-add transform
 _BLOCK_TAPS = 8  # kernels per overlap-add transform, at least
@@ -60,15 +67,19 @@ def resample_at(
     Position b + f (b = floor) reads sum_k x[b + k] w_k over the taps
     k = 1 - H .. H (H = half_taps).  sinc(f - k) = (-1)^k sin(pi f) /
     (pi (f - k)) and the Hann factor's cosine expands by the addition
-    theorem, so w_k = (-1)^k (a + c cos(pi k / H) + d sin(pi k / H)) / (f - k)
-    with a = sin(pi f) / 2 pi, c = a cos(pi f / H) and d = a sin(pi f / H)
-    per position.  Each chunk of positions loops over the taps on vectors
-    that stay in cache.  The gather reads x itself with clamped indices;
-    only in a chunk whose taps reach past either end of x are the taps off
-    the signal then set to zero, which gives the same sums as a zero-padded
-    x.  Positions within 1e-15 of the grid, where w_k is 0 / 0, read the
-    sample, or zero off the signal.  Positions must be finite.
-    resample_oversampled reads each position times _scale.
+    theorem, so w_k = s_k (a + c cos(pi k / H) + d sin(pi k / H)) / (f - k)
+    with s_k = (-1)^k, a = sin(pi f) / 2 pi, c = a cos(pi f / H) and
+    d = a sin(pi f / H) per position.  The output is therefore
+    a S0 + c S1 + d S2, where S = U B, U[i, k] = x[b_i + k] / (f_i - k) and
+    B is the 3 x 2H basis [s_k, s_k cos(pi k / H), s_k sin(pi k / H)].
+    A chunk's table U reads x in place, one strided view per run of rows
+    whose b steps by a constant, as a smooth warp's do; a chunk with many
+    step changes, or with taps past either end of x, gathers x one tap
+    column at a time instead, with the taps off the signal set to zero,
+    which gives the same sums as a zero-padded x.  Positions within 1e-15
+    of the grid, where w_k is 0 / 0, read the sample, or zero off the
+    signal.  Positions must be finite.  resample_oversampled reads each
+    position times _scale.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -86,14 +97,20 @@ def resample_at(
     out = np.empty(positions.size)
     workers = _workers(positions.size)
     chunk = min(_CHUNK if workers == 1 else _THREAD_CHUNK, -(-positions.size // workers))
-    # per worker: frac, a, c, d, w, tmp, the tap indices and two masks
-    floats = np.empty((workers, 6, chunk))
-    indices = np.empty((workers, chunk), dtype=np.int64)
+    # per worker: [frac, 1], the position x tap table, its three sums, then
+    # a, c, d, tmp, the tap indices, their steps and two masks
+    pairs = np.empty((workers, 2, chunk))
+    pairs[:, 1] = 1.0
+    tables = np.empty((workers, chunk, 2 * half_taps))
+    sums = np.empty((workers, chunk, 3))
+    floats = np.empty((workers, 4, chunk))
+    ints = np.empty((workers, 2, chunk), dtype=np.int64)
     masks = np.empty((workers, 2, chunk), dtype=bool)
     bounds = [i * positions.size // workers for i in range(workers + 1)]
+    scratch = zip(pairs, tables, sums, floats, ints, masks)
     slices = [
-        (x, positions[lo:hi], _scale, out[lo:hi], half_taps, (*f, i, *m))
-        for lo, hi, f, i, m in zip(bounds, bounds[1:], floats, indices, masks)
+        (x, positions[lo:hi], _scale, out[lo:hi], half_taps, (p, t, s, *f, *i, *m))
+        for lo, hi, (p, t, s, f, i, m) in zip(bounds, bounds[1:], scratch)
     ]
     if workers == 1:
         _resample_chunks(*slices[0])
@@ -123,17 +140,24 @@ def _resample_chunks(x, positions, scale, out, half_taps, scratch) -> None:
     times scale, chunk by chunk in the scratch buffers' length, allocating
     no array of that length."""
     taps = np.arange(-half_taps + 1, half_taps + 1)
-    sign = np.where(taps % 2 == 0, 1.0, -1.0)
-    cos_n = sign * np.cos(np.pi * taps / half_taps)
-    sin_n = sign * np.sin(np.pi * taps / half_taps)
-    size = scratch[0].size
+    # [f, 1] @ lag is f * 1 + 1 * -k: both products are exact, so each entry
+    # is f - k rounded once, whatever order BLAS sums in
+    lag = np.stack([np.ones(taps.size), -taps])
+    angle = np.pi * taps / half_taps
+    basis = np.where(taps % 2 == 0, 1.0, -1.0) * np.stack(
+        [np.ones(taps.size), np.cos(angle), np.sin(angle)]
+    )
+    pair, table, sums, *vectors = scratch
+    stride = x.strides[0]
     # errstate is per thread, and a new thread starts with numpy's default
     with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, positions.size, size):
-            acc = out[lo : lo + size]
-            frac, a, c, d, w, tmp, idx, off, mask = (b[: acc.size] for b in scratch)
-            np.multiply(positions[lo : lo + size], scale, out=frac)
-            base = np.floor(frac, out=w)
+        for lo in range(0, positions.size, pair.shape[1]):
+            acc = out[lo : lo + pair.shape[1]]
+            m = acc.size
+            a, c, d, tmp, first, steps, off, mask = (v[:m] for v in vectors)
+            frac, rows = pair[0, :m], table[:m]
+            np.multiply(positions[lo : lo + m], scale, out=frac)
+            base = np.floor(frac, out=a)
             frac -= base
             # Snap near-grid positions to frac 0; pos - floor(pos) even rounds
             # to exactly 1.0 for pos = -1e-20, which is the next sample.
@@ -143,9 +167,26 @@ def _resample_chunks(x, positions, scale, out, half_taps, scratch) -> None:
             np.copyto(frac, 0.0, where=up)
             # x index of tap 1 - H; clipping keeps the int64 cast defined
             np.clip(base, -half_taps - 1, x.size + half_taps, out=base)
-            np.copyto(idx, base, casting="unsafe")
-            idx += 1 - half_taps
-            edge = idx.min() < 0 or idx.max() + 2 * half_taps > x.size
+            np.copyto(first, base, casting="unsafe")
+            first += 1 - half_taps
+            edge = first.min() < 0 or first.max() + taps.size > x.size
+            np.matmul(pair[:, :m].T, lag, out=rows)  # rows[i, k] = f_i - k
+            runs = None if edge else _runs(first, steps, mask)
+            if runs is None:  # taps off the signal, or irregular positions
+                for j in range(taps.size):
+                    _gather(x, first, edge, tmp, off)
+                    np.divide(tmp, rows[:, j], out=rows[:, j])
+                    first += 1
+                first -= taps.size
+            for p, q in runs or ():  # rows of x at a constant step, in place
+                step = first[p + 1] - first[p] if q - p > 1 else 0
+                view = as_strided(
+                    x[first[p] :], (q - p, taps.size), (step * stride, stride),
+                    writeable=False,
+                )
+                np.divide(view, rows[p:q], out=rows[p:q])
+            # row-local, unlike BLAS, whose sums depend on a row's offset
+            np.einsum("ij,kj->ik", rows, basis, out=sums[:m])
             # sin(pi f) by reflection about 1/2: for f just under 1 the direct
             # pi * f cancels against pi, and the division by the nearest tap's
             # tiny f - k would blow that rounding error up by 1 / |f - k|.
@@ -154,31 +195,32 @@ def _resample_chunks(x, positions, scale, out, half_taps, scratch) -> None:
             a *= np.pi
             np.sin(a, out=a)
             a /= 2.0 * np.pi
-            for trig, into in ((np.cos, c), (np.sin, d)):
+            np.multiply(a, sums[:m, 0], out=acc)
+            for trig, into, column in ((np.cos, c, 1), (np.sin, d, 2)):
                 np.multiply(frac, np.pi, out=into)
                 into /= half_taps
                 trig(into, out=into)
                 into *= a
-            acc.fill(0.0)
-            for j, k in enumerate(taps):
-                np.multiply(c, cos_n[j], out=w)
-                if sign[j] > 0:
-                    w += a
-                else:  # w - a is w + (-a), rounded alike
-                    w -= a
-                np.multiply(d, sin_n[j], out=tmp)
-                w += tmp
-                np.subtract(frac, k, out=tmp)
-                w /= tmp
-                _gather(x, idx, edge, tmp, off)
-                w *= tmp
-                acc += w
-                idx += 1
+                into *= sums[:m, column]
+                acc += into
             on_grid = np.equal(frac, 0.0, out=mask)  # acc is NaN there
             if on_grid.any():
-                idx -= half_taps + 1  # x index of tap 0
-                _gather(x, idx, edge, tmp, off)
+                first += half_taps - 1  # x index of tap 0
+                _gather(x, first, edge, tmp, off)
                 np.copyto(acc, tmp, where=on_grid)
+
+
+def _runs(first, steps, mask) -> list[tuple[int, int]] | None:
+    """Row ranges [p, q) over each of which first steps by a constant, or
+    None when the step changes _MAX_RUNS times or more; steps and mask are
+    scratch."""
+    np.subtract(first[1:], first[:-1], out=steps[:-1])
+    change = np.not_equal(steps[1:-1], steps[:-2], out=mask[:-2])
+    if np.count_nonzero(change) >= _MAX_RUNS:
+        return None
+    # a change between the steps into rows j + 1 and j + 2 starts a range at j + 2
+    bounds = [0, *(np.flatnonzero(change) + 2).tolist(), first.size]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _gather(x, idx, edge, into, off) -> None:

@@ -181,6 +181,30 @@ def inverse_shape(signal: SampledSignal, filt: ShapingFilter) -> SampledSignal:
     return SampledSignal(restored, signal.fs)
 
 
+def check_plan(
+    sigma_t: float,
+    fs: float,
+    code_rows: Sequence[int],
+    codes: np.ndarray,
+    period_no: int,
+    repetitions: int,
+) -> None:
+    """Refuse what coded_channels refuses before synthesis: a pulse buffer
+    longer than the whole emission, a plan that leaves the receiver no
+    block to average and a code row outside `codes`."""
+    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k
+    emission = period_no * repetitions
+    if pulse > emission:
+        raise ValueError(
+            f"sigma_t {sigma_t} s at fs {fs} Hz needs a "
+            f"2^{pulse.bit_length() - 1}-sample pulse buffer, "
+            f"longer than the {emission}-sample emission (period_no x repetitions)"
+        )
+    averaging_block(emission, period_no, codes.shape[1])  # as assemble_sequence
+    for row in code_rows:
+        row_of(codes, row)
+
+
 def coded_channels(
     sigma_t: float,
     fs: float,
@@ -200,7 +224,7 @@ def coded_channels(
     compresses with the units only, assembles and shapes nothing.  A pulse
     buffer longer than the whole emission, a plan that leaves the receiver
     no block to average and a code row outside `codes` are refused before
-    synthesis.
+    synthesis (check_plan).
 
     Shaping is linear and time-invariant, so the unit is shaped, not the
     emission: each unit is convolved with filt.impulse_response (truncated
@@ -212,17 +236,9 @@ def coded_channels(
     Assembly adds repetitions copies of the shaped unit, so a pole near the
     unit circle costs more than a recursion over the emission would.
     """
+    check_plan(sigma_t, fs, code_rows, codes, period_no, repetitions)
     specs = [FvnSpec(sigma_t=sigma_t, fs=fs, seed=seed) for seed in seeds]
     emission = period_no * repetitions
-    if any(spec.dft_size_k > emission for spec in specs):
-        raise ValueError(
-            f"sigma_t {sigma_t} s at fs {fs} Hz needs a "
-            f"2^{specs[0].dft_size_k.bit_length() - 1}-sample pulse buffer, "
-            f"longer than the {emission}-sample emission (period_no x repetitions)"
-        )
-    averaging_block(emission, period_no, codes.shape[1])  # as assemble_sequence
-    for row in code_rows:
-        row_of(codes, row)
     units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
 
     def emitted() -> Iterator[SampledSignal]:

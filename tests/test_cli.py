@@ -307,18 +307,73 @@ def room_run(tmp_path, ppm, seed=11):
     return gen, sim, ali, fir
 
 
-def ir_err_db(recording, gen, fir):
-    """Error in dB re the FIR's energy of the linear IR measured from
-    `recording`, after the circular lag and the gain that match it best."""
+def matched_ir(recording, gen, fir):
+    """The linear IR measured from `recording`, rolled by the circular lag
+    that matches the FIR best, and the FIR zero-padded to its length."""
     meas = recording.parent / f"{recording.stem}_measured"
     assert run("measure", recording, gen, "--out-dir", meas) == 0
     ir = read_wav(meas / "linear_ir.wav").samples
     padded = np.zeros(ir.size)
     padded[: fir.size] = fir
     xcorr = np.fft.irfft(np.fft.rfft(ir) * np.conj(np.fft.rfft(padded)), ir.size)
-    ir = np.roll(ir, -int(np.argmax(np.abs(xcorr))))[: fir.size]
+    return np.roll(ir, -int(np.argmax(np.abs(xcorr)))), padded
+
+
+def ir_err_db(recording, gen, fir):
+    """Error in dB re the FIR's energy of the linear IR measured from
+    `recording`, after the circular lag and the gain that match it best."""
+    ir = matched_ir(recording, gen, fir)[0][: fir.size]
     gain = (ir @ fir) / (ir @ ir)
     return 10.0 * np.log10(np.sum((gain * ir - fir) ** 2) / (fir @ fir))
+
+
+def band_err_db(recording, gen, fir, band=0.45):
+    """ir_err_db in the spectrum over the bins below band x fs, with the
+    gain that matches the FIR best there."""
+    ir, padded = matched_ir(recording, gen, fir)
+    keep = np.fft.rfftfreq(ir.size) < band
+    got, want = np.fft.rfft(ir)[keep], np.fft.rfft(padded)[keep]
+    gain = np.vdot(got, want).real / np.vdot(got, got).real
+    return 10.0 * np.log10(np.sum(np.abs(gain * got - want) ** 2) / np.sum(np.abs(want) ** 2))
+
+
+def linear_run(tmp_path, ppm):
+    """The cli_short benchmark's chain at seed 1 (its room FIR and FVN seed,
+    as perfbench/workloads.py derives them) through a linear, noiseless
+    target, aligned when it drifts: nothing but the float32 WAVs and, with
+    drift, the resampler and the band edge stand between the FIR and the
+    measured IR.  Returns the recording to measure, the generate directory
+    and the FIR."""
+    gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
+    rng = np.random.default_rng([1, 0])
+    delay = int(rng.integers(16, 64))
+    fir = np.zeros(delay + 1501)
+    fir[delay] = 1.0
+    fir[delay + 1 :] = 0.3 * rng.standard_normal(1500) * np.exp(-np.arange(1, 1501) / 250.0)
+    seed = int(np.random.default_rng([1, 1]).integers(0, 2**31 - 64))
+    target = tmp_path / "room.json"
+    SimTarget(paths=[fir]).to_json(target)
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=seed) == 0
+    argv = ["simulate", gen, "--config", target, "--out-dir", sim]
+    if not ppm:
+        assert run(*argv) == 0
+        return sim / "recording.wav", gen, fir
+    assert run(*argv, "--drift-ppm", ppm) == 0
+    assert run("align", sim / "recording.wav", gen, "--out-dir", ali) == 0
+    return ali / "aligned.wav", gen, fir
+
+
+def test_linear_noiseless_chain_reaches_the_float32_floor(tmp_path):
+    """With no cubic, no noise and no drift, only the WAVs' float32
+    rounding is left (about -149 dB)."""
+    assert ir_err_db(*linear_run(tmp_path, 0.0)) <= -140.0
+
+
+def test_linear_noiseless_chain_at_100_ppm_holds_the_band_below_045_fs(tmp_path):
+    """Drift folds the top of the band, which align cannot restore; below
+    0.45 fs the error is the resampler's and the alignment's (about -91
+    dB), far under the -43 dB that a cubic of 0.1 sets."""
+    assert band_err_db(*linear_run(tmp_path, 100.0)) <= -85.0
 
 
 def test_align_without_drift_keeps_the_measurement(tmp_path):
@@ -600,6 +655,43 @@ def test_negative_code_row_in_the_manifest_is_a_validation_error(tmp_path, capsy
     check_manifest_rejected(
         tmp_path, capsys, "measure", "channels[0].code_row", -1, names="row index -1"
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "align", "measure"])
+@pytest.mark.parametrize("edit", ["moved", "duplicated"])
+def test_channels_sharing_a_code_row_are_refused(tmp_path, capsys, command, edit):
+    """Channels on one row cannot be told apart: moved to row 0, channel 1
+    would measure as channel 0, and a duplicated entry twice over."""
+    gen = tmp_path / "gen"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=5) == 0
+    path = gen / "manifest.json"
+    manifest = read_json(path)
+    channels = manifest["channels"]
+    if edit == "moved":
+        channels[1]["code_row"], row, pair = 0, 0, "channels[0] and channels[1]"
+    else:
+        channels.append(dict(channels[1]))
+        row, pair = 1, "channels[1] and channels[2]"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    argv = ["simulate", gen] if command == "simulate" else [command, gen / "multiplexed.wav", gen]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {pair} share code_row {row}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, names",
+    [("period_no", -1, "period_no"), ("codes", 0, "codes"), ("repetitions", 3, "too few")],
+)
+def test_simulate_refuses_a_plan_that_measure_refuses(tmp_path, capsys, key, value, names):
+    """simulate reads only the channel files, but forwards the manifest:
+    it checks the plan as measure does, rather than write a recording no
+    receiver can read."""
+    check_manifest_rejected(tmp_path, capsys, "simulate", key, value, names=names)
+    assert not (tmp_path / "out").exists()
+    check_manifest_rejected(tmp_path / "m", capsys, "measure", key, value, names=names)
 
 
 @pytest.mark.parametrize(

@@ -77,3 +77,21 @@ def test_averaging_block_centres_the_block_between_guards():
 def test_averaging_block_refuses_negative_guards(guard):
     with pytest.raises(ValueError, match=f"guard_periods must be >= 0, got {guard}"):
         averaging_block(52920, 4410, 2, guard_periods=guard)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((52920, 4410, 2, 1.5), "guard_periods"),
+        ((52920, 4410.0, 2), "period_no"),
+        ((52920.0, 4410, 2), "length"),
+        ((52920, np.float64(4410.0), 2), "period_no"),
+    ],
+)
+def test_averaging_block_refuses_non_integers(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        averaging_block(*args)
+
+
+def test_averaging_block_takes_numpy_integers():
+    assert averaging_block(np.int64(52920), np.int32(4410), 2, np.int64(2)) == (2, 8)

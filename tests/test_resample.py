@@ -105,14 +105,41 @@ def padded_resample_at(
     return out
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 1000])
-@pytest.mark.parametrize("half_taps", [1, 3, 32])
-def test_matches_the_zero_padded_reference_bit_for_bit(n, half_taps):
-    """The first chunk stays clear of both ends, so only the later chunks
-    zero the taps off the signal.  Those hold positions before 0, past the
-    end and far outside, on the grid (0, n - 1, and outside) and -1e-20; x
-    has negative samples, whose product with an off-signal zero tap would
-    be -0.0."""
+def padded_table_resample_at(
+    x: np.ndarray, positions: np.ndarray, half_taps: int = HALF_TAPS
+) -> np.ndarray:
+    """Reference: resample_at's arithmetic in one (positions x taps) table,
+    gathered from a zero-padded copy of x."""
+    taps = np.arange(-half_taps + 1, half_taps + 1)
+    angle = np.pi * taps / half_taps
+    basis = np.where(taps % 2 == 0, 1.0, -1.0) * np.stack(
+        [np.ones(taps.size), np.cos(angle), np.sin(angle)]
+    )
+    base = np.floor(positions)
+    frac = positions - base
+    up = frac > 1.0 - 1e-15
+    base[up] += 1.0
+    frac[up | (frac < 1e-15)] = 0.0
+    base = np.clip(base, -half_taps - 1, x.size + half_taps).astype(np.int64)
+    pad = 2 * half_taps + 1
+    padded = np.concatenate((np.zeros(pad), x, np.zeros(pad)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        table = padded[pad + base[:, None] + taps] / (frac[:, None] - taps)
+        sums = np.einsum("ij,kj->ik", table, basis)
+        a = np.sin(np.pi * np.minimum(frac, 1.0 - frac)) / (2.0 * np.pi)
+        out = a * sums[:, 0]
+        out += np.cos(np.pi * frac / half_taps) * a * sums[:, 1]
+        out += np.sin(np.pi * frac / half_taps) * a * sums[:, 2]
+    on_grid = frac == 0.0
+    out[on_grid] = padded[pad + base[on_grid]]
+    return out
+
+
+def edge_cases(n, half_taps):
+    """x and positions for the padded references: the first chunk stays
+    clear of both ends, and the later chunks hold positions before 0, past
+    the end and far outside, on the grid (0, n - 1, and outside) and
+    -1e-20."""
     rng = np.random.default_rng(n + half_taps)
     x = rng.standard_normal(n)
     inner = np.empty(0)
@@ -124,9 +151,57 @@ def test_matches_the_zero_padded_reference_bit_for_bit(n, half_taps):
     )
     spread = rng.uniform(-2.0 * half_taps, n + 2.0 * half_taps, resample._CHUNK)
     spread[:100] = np.round(spread[:100])
-    positions = np.concatenate([inner, edges, spread])
+    return x, np.concatenate([inner, edges, spread])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+@pytest.mark.parametrize("half_taps", [1, 3, 32])
+def test_matches_the_zero_padded_reference_bit_for_bit(n, half_taps):
+    """The table's arithmetic on a zero-padded copy of x: the chunks that
+    read x itself, and set the taps off it to +0.0 as the copy's zeros
+    are, give the same bits; x has negative samples, which a zero mask
+    multiplied in would turn into -0.0."""
+    x, positions = edge_cases(n, half_taps)
     got = resample_at(x, positions, half_taps)
-    assert got.tobytes() == padded_resample_at(x, positions, half_taps).tobytes()
+    assert got.tobytes() == padded_table_resample_at(x, positions, half_taps).tobytes()
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in_place", "gathered"])
+@pytest.mark.parametrize("start", [True, False], ids=["start", "end"])
+@pytest.mark.parametrize("offset", [-0.5, 0.5])
+def test_a_chunk_that_just_reaches_an_end(shuffled, start, offset):
+    """One chunk whose outermost tap reads x[0] or x[n - 1] (offset -0.5
+    at the end, 0.5 at the start), or one sample past it, read in place or
+    gathered."""
+    n = 500
+    x = np.random.default_rng(9).standard_normal(n) + 2.0
+    first = HALF_TAPS - 1 + offset if start else n - HALF_TAPS - 99 + offset
+    positions = first + np.arange(100.0)
+    if shuffled:
+        np.random.default_rng(10).shuffle(positions)
+    got = resample_at(x, positions)
+    assert got.tobytes() == padded_table_resample_at(x, positions).tobytes()
+
+
+def assert_matches_padded(x, positions, half_taps, got):
+    """got is within 1e-14 of the padded reference's peak, and exact where
+    the reference reads a sample: on the grid (-1e-20 included) and where
+    every tap lies off the signal."""
+    ref = padded_resample_at(x, positions, half_taps)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    off = (positions < -half_taps) | (positions >= x.size - 1 + half_taps)
+    exact = off | (positions == np.round(positions)) | (np.abs(positions) < 1e-15)
+    assert np.array_equal(got[exact], ref[exact])
+    assert np.all(got[off] == 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+@pytest.mark.parametrize("half_taps", [1, 3, 32])
+def test_matches_the_zero_padded_reference(n, half_taps):
+    """The tap-outer arithmetic sums in another order: within 1e-14 of the
+    peak, and exact where it reads a sample."""
+    x, positions = edge_cases(n, half_taps)
+    assert_matches_padded(x, positions, half_taps, resample_at(x, positions, half_taps))
 
 
 def test_resample_oversampled_holds_few_record_lengths(traced_peak):
@@ -237,23 +312,35 @@ def test_positions_that_double_past_the_float_range_are_refused():
         resample_oversampled(np.arange(10.0), lambda: np.array([-1e308]))
 
 
-@pytest.mark.parametrize("half_taps", [5, 32])
-def test_threaded_slices_match_one_worker_bit_for_bit(monkeypatch, half_taps):
-    """Three slices of several thread chunks each, in three threads that
-    switch as often as they can; the first and the last slice hold
-    positions before 0, past the end and far outside, -1e-20 and on the
-    grid, between a linear drift and random positions."""
+def drift_and_spread(half_taps, n=5000):
+    """x and positions for the threaded tests: positions before 0, past the
+    end and far outside, -1e-20 and on the grid, between a linear drift
+    (rows read in place, stepping by 1 and now and then by 2, then twice
+    as fast around one repeated position, then reversed) and random positions,
+    first inside the signal, then across its ends."""
     rng = np.random.default_rng(40 + half_taps)
-    n = 5000
     x = rng.standard_normal(n)
     edges = np.array(
         [-0.5, -3.7, -half_taps - 0.25, -1e-20, 0.0, 7.0, n - 1.0, n - 0.5,
          n + 2.0, n + half_taps + 0.5, -1e9, 1e9, 1e300, -1e300]
     )
-    drift = np.arange(-100, n + 100) * (1.0 + 20e-6)
+    drift = np.arange(-100, n + 100) * (1.0 + 2e-3)
+    inner = rng.uniform(half_taps, n - 1 - half_taps, 1500)
     spread = rng.uniform(-2.0 * half_taps, n + 2.0 * half_taps, 3 * resample._THREAD_CHUNK)
     spread[::97] = np.round(spread[::97])
-    positions = np.concatenate([edges, drift, spread, drift[::-1], edges])
+    positions = np.concatenate(
+        [edges, drift, 2.0 * drift[: n // 4], np.full(50, 2500.25),
+         2.0 * drift[n // 4 : n // 2], inner, spread, drift[::-1], edges]
+    )
+    return x, positions
+
+
+@pytest.mark.parametrize("half_taps", [5, 32])
+def test_threaded_slices_match_one_worker_bit_for_bit(monkeypatch, half_taps):
+    """Three slices of several thread chunks each, in three threads that
+    switch as often as they can; the first and the last slice hold the
+    edge positions."""
+    x, positions = drift_and_spread(half_taps)
     monkeypatch.setattr(resample, "_workers", lambda count: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -264,7 +351,38 @@ def test_threaded_slices_match_one_worker_bit_for_bit(monkeypatch, half_taps):
     monkeypatch.setattr(resample, "_workers", lambda count: 1)
     serial = resample_at(x, positions, half_taps)
     assert threaded.tobytes() == serial.tobytes()
-    assert threaded.tobytes() == padded_resample_at(x, positions, half_taps).tobytes()
+    assert_matches_padded(x, positions, half_taps, threaded)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1000, 1537, 4099])
+def test_output_does_not_depend_on_workers_or_chunks(monkeypatch, workers, chunk):
+    """Every position's table row, sums and output are row-local, so any
+    split of the positions gives the same bits as the default one worker."""
+    x, positions = drift_and_spread(32)
+    serial = resample_at(x, positions)
+    monkeypatch.setattr(resample, "_workers", lambda count: workers)
+    monkeypatch.setattr(resample, "_CHUNK", chunk)
+    monkeypatch.setattr(resample, "_THREAD_CHUNK", chunk)
+    assert resample_at(x, positions).tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_chunks_of_a_few_positions_match_long_ones(monkeypatch, chunk):
+    """Tables of one to a few rows, of both the in-place and the gathered
+    kind, sum as the rows of a long table do."""
+    x, positions = drift_and_spread(32)
+    positions = np.concatenate([positions[:40], positions[3000:3100]])
+    serial = resample_at(x, positions)
+    monkeypatch.setattr(resample, "_CHUNK", chunk)
+    assert resample_at(x, positions).tobytes() == serial.tobytes()
+
+
+def test_a_strided_signal_reads_as_its_copy():
+    """The in-place rows step through x by its own stride."""
+    x, positions = drift_and_spread(32)
+    every_other = np.repeat(x, 2)[::2]
+    assert resample_at(every_other, positions).tobytes() == resample_at(x, positions).tobytes()
 
 
 @pytest.mark.parametrize("fails", [True, False], ids=["failing", "clean"])
