@@ -24,7 +24,6 @@ import numpy as np
 from . import fileio
 from .align import apply_warp, track_block_delays
 from .codes import build_code_matrix
-from .fvn import FvnSpec
 from .measure import demultiplex, separate_nonlinear
 from .sequence import ShapingFilter, check_plan, coded_channels, multiplex
 from .signal import SampledSignal
@@ -43,8 +42,8 @@ _SETTINGS = {
     "seed": (0, _SEED),
     "shape": (None, "null or a string path"),
 }
-# flag values main checks before any command runs; FvnSpec and the plan checks
-# bound sigma_t and the counts before synthesis, naming their keys.
+# flag values main checks before any command runs; _plan bounds sigma_t, the
+# counts and the rate before synthesis, naming their keys.
 _FLAG_KINDS = {"fs": _RATE, "seed": _SEED, "drift_ppm": _NUMBER, "truncate_ms": _NUMBER}
 _MANIFEST_KEYS = {
     "fs": _RATE, "sigma_t": _NUMBER, "codes": _INTEGER, "period_no": _INTEGER,
@@ -108,7 +107,7 @@ def _check_keys(path, doc, kinds, prefix="", optional=(), closed=True) -> None:
 def _read_shape(path: str) -> list[float]:
     """A --shape file's coefficients as floats: a JSON list of numbers, the
     kind a manifest's shape key holds, or a refusal naming the file.
-    _channels_from_manifest builds and checks the filter, as for align."""
+    _plan builds and checks the filter, as for align."""
     doc = fileio.read_json(path)
     kind = "a list of numbers"
     if not _IS_KIND[kind](doc):
@@ -209,53 +208,56 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _plan(manifest: dict) -> np.ndarray:
-    """The manifest's code matrix, once its plan passes the checks made
-    before synthesis: code count, sigma_t and fs, a plan too long for a WAV
-    file, and sequence.check_plan."""
-    codes = build_code_matrix(int(manifest["codes"]))
-    sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
-    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k  # checks sigma_t and fs
-    period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
-    length = period * reps + max(0, pulse - period)
-    # check_plan refuses a pulse longer than period_no x repetitions
-    if pulse <= period * reps and length > fileio.MAX_WAV_SAMPLES:
-        raise ValueError(
-            f"period_no x repetitions plus the pulse tail is {length} samples, "
-            f"more than the {fileio.MAX_WAV_SAMPLES} a WAV file holds"
-        )
-    rows = [int(channel["code_row"]) for channel in manifest["channels"]]
-    check_plan(sigma_t, fs, rows, codes, period, reps)
-    return codes
+def _plan(
+    manifest: dict, shape_source: str, where: Path | None = None
+) -> tuple[np.ndarray, ShapingFilter | None]:
+    """The manifest's code matrix and shaping filter, once its plan passes
+    every check made before synthesis: the code count, sequence.check_plan,
+    an emission longer than a WAV file holds, a rate beyond a WAV header,
+    and a filter that is unstable or whose range breaks the float32 round
+    trip.  A refusal starts with `where`, the manifest's path, if one is
+    given; a refused filter's with `shape_source`, where its coefficients
+    came from."""
+    source, filt = where, None  # what a refusal names
+    try:
+        codes = build_code_matrix(int(manifest["codes"]))
+        fs = float(manifest["fs"])
+        rows = [int(channel["code_row"]) for channel in manifest["channels"]]
+        period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
+        length = check_plan(float(manifest["sigma_t"]), fs, rows, codes, period, reps)
+        if length > fileio.MAX_WAV_SAMPLES:
+            raise ValueError(
+                f"period_no x repetitions plus the pulse tail is {length} samples, "
+                f"more than the {fileio.MAX_WAV_SAMPLES} a WAV file holds"
+            )
+        if fs > fileio.MAX_WAV_RATE:
+            raise ValueError(
+                f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file"
+            )
+        if manifest.get("shape"):
+            source = shape_source
+            filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
+            span = filt.range_db(fs)
+            if span > MAX_SHAPE_RANGE_DB:
+                raise ValueError(
+                    f"the filter's gain spans {span:.1f} dB over 0..fs/2, more than "
+                    f"the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 round trip survives"
+                )
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}" if source else str(exc)) from None
+    return codes, filt
 
 
-def _channels_from_manifest(manifest: dict, shape_source: str) -> tuple[
+def _channels_from_manifest(manifest: dict, shape_source: str, where=None) -> tuple[
     np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
 ]:
-    """Code matrix, shaping filter, unit pulses and lazily emitted signals.
-    A plan that _plan refuses and a filter that is unstable or whose range
-    breaks the float32 round trip are refused before anything is
-    synthesized; a refused filter's message starts with `shape_source`,
-    where its coefficients came from."""
-    codes = _plan(manifest)
-    sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
-    filt = None
-    if manifest.get("shape"):
-        try:
-            filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
-        except ValueError as exc:
-            raise ValueError(f"{shape_source}: {exc}") from None
-        span = filt.range_db(fs)
-        if span > MAX_SHAPE_RANGE_DB:
-            raise ValueError(
-                f"{shape_source}: the filter's gain spans {span:.1f} dB over "
-                f"0..fs/2, more than the {MAX_SHAPE_RANGE_DB:.0f} dB a float32 "
-                "round trip survives"
-            )
+    """Code matrix, shaping filter, unit pulses and lazily emitted signals,
+    once _plan passes the manifest."""
+    codes, filt = _plan(manifest, shape_source, where)
     channels = manifest["channels"]
     units, emitted = coded_channels(
-        sigma_t,
-        fs,
+        float(manifest["sigma_t"]),
+        float(manifest["fs"]),
         [int(channel["seed"]) for channel in channels],
         [int(channel["code_row"]) for channel in channels],
         codes,
@@ -295,10 +297,6 @@ def cmd_generate(args) -> int:
     start = time.perf_counter()
     _, filt, _, emitted = _channels_from_manifest(manifest, cfg["shape"])
     synthesized = time.perf_counter()
-    # checked here, not with the flags, so the pulse-length check (which names
-    # sigma_t too) comes first; nothing is assembled or written yet
-    if manifest["fs"] > fileio.MAX_WAV_RATE:
-        raise ValueError(f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file")
     out = _out_dir(args)
 
     def written():
@@ -331,7 +329,7 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     path, manifest = _read_manifest(args.manifest)
-    _plan(manifest)  # forward no plan that measure would refuse
+    _plan(manifest, f"{path}: shape", path)  # forward no plan measure refuses
     channels = manifest["channels"]
     if args.config:
         target = _read_target(args.config)
@@ -357,7 +355,10 @@ def cmd_simulate(args) -> int:
         seed = int(manifest["seed"]) if args.seed is None else args.seed
     # sim.simulate in two steps, so the emission is freed before the drift
     start = time.perf_counter()
-    played = _play(target, drive)
+    try:
+        played = _play(target, drive)
+    except OverflowError as exc:  # only a target file's path can overflow
+        raise ValueError(f"{args.config}: {exc}") from None
     del drive
     source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
     period_no = int(manifest["period_no"])
@@ -417,7 +418,7 @@ def _check_drift(
 
 def cmd_measure(args) -> int:
     path, manifest, recorded = _read_recording(args)
-    codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape")
+    codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape", path)
     start = time.perf_counter()
     rows = [int(ch["code_row"]) for ch in manifest["channels"]]
     result = demultiplex(
@@ -484,7 +485,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_align(args) -> int:
     path, manifest, recorded = _read_recording(args)
-    *_, emitted = _channels_from_manifest(manifest, f"{path}: shape")
+    *_, emitted = _channels_from_manifest(manifest, f"{path}: shape", path)
     start = time.perf_counter()
     reference = multiplex(emitted)
     try:

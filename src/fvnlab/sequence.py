@@ -188,21 +188,23 @@ def check_plan(
     codes: np.ndarray,
     period_no: int,
     repetitions: int,
-) -> None:
-    """Refuse what coded_channels refuses before synthesis: a pulse buffer
-    longer than the whole emission, a plan that leaves the receiver no
-    block to average and a code row outside `codes`."""
-    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k
+) -> int:
+    """The emitted length, period_no * repetitions plus the pulse buffer's
+    tail past one period, or a refusal: of a period_no below 1 or a plan
+    that leaves the receiver no block to average, of a code row outside
+    `codes`, and of a pulse buffer longer than the whole emission."""
     emission = period_no * repetitions
+    averaging_block(emission, period_no, codes.shape[1])  # as assemble_sequence
+    for row in code_rows:
+        row_of(codes, row)
+    pulse = FvnSpec(sigma_t=sigma_t, fs=fs).dft_size_k
     if pulse > emission:
         raise ValueError(
             f"sigma_t {sigma_t} s at fs {fs} Hz needs a "
             f"2^{pulse.bit_length() - 1}-sample pulse buffer, "
             f"longer than the {emission}-sample emission (period_no x repetitions)"
         )
-    averaging_block(emission, period_no, codes.shape[1])  # as assemble_sequence
-    for row in code_rows:
-        row_of(codes, row)
+    return emission + max(0, pulse - period_no)
 
 
 def coded_channels(
@@ -230,19 +232,17 @@ def coded_channels(
     emission: each unit is convolved with filt.impulse_response (truncated
     where its slowest pole has decayed to 1e-18, capped at the emitted
     length, computed once when the first channel is emitted), assembled,
-    and cut to the unshaped emission's length, repetitions * period_no plus
-    the unit's tail past one period.  Where the response outlasts the
-    emission, the cap makes this the whole emission through the filter.
-    Assembly adds repetitions copies of the shaped unit, so a pole near the
-    unit circle costs more than a recursion over the emission would.
+    and cut to the unshaped emission's length, as check_plan returns it.
+    Where the response outlasts the emission, the cap makes this the whole
+    emission through the filter.  Assembly adds repetitions copies of the
+    shaped unit, so a pole near the unit circle costs more than a recursion
+    over the emission would.
     """
-    check_plan(sigma_t, fs, code_rows, codes, period_no, repetitions)
+    length = check_plan(sigma_t, fs, code_rows, codes, period_no, repetitions)
     specs = [FvnSpec(sigma_t=sigma_t, fs=fs, seed=seed) for seed in seeds]
-    emission = period_no * repetitions
     units = [center_pulse(synthesize_unit_fvn(spec)) for spec in specs]
 
     def emitted() -> Iterator[SampledSignal]:
-        length = emission + max([0] + [len(unit) - period_no for unit in units])
         h = np.ones(1) if filt is None else filt.impulse_response(length)
         for row, unit in zip(code_rows, units):
             shaped = SampledSignal(fftconvolve(unit.samples, h), unit.fs)

@@ -164,9 +164,10 @@ def simulate(
     iterable; use the same signal object repeatedly to drive several paths
     from a common stimulus.  The output is long enough for every path's
     convolution tail.  Noise is seeded, so a run is reproducible bit for
-    bit.  This is _play then _capture; a caller that owns the inputs, as
-    the CLI does, calls the two in turn and drops the inputs between them,
-    so they are gone before the drift's buffers.
+    bit.  A path whose output is not finite raises OverflowError, naming
+    the path.  This is _play then _capture; a caller that owns the inputs,
+    as the CLI does, calls the two in turn and drops the inputs between
+    them, so they are gone before the drift's buffers.
     """
     return _capture(target, _play(target, inputs), seed)
 
@@ -175,13 +176,24 @@ def _play(target: SimTarget, inputs: Iterable[SampledSignal]) -> SampledSignal:
     """The Hammerstein paths: each input through the nonlinearity and its
     path's FIR, summed by multiplex as it arrives, so a lazy `inputs` is
     read one input at a time.  Inputs that do not pair one to one with the
-    paths raise zip's ValueError, mixed rates multiplex's; each is found
-    when the stream reaches it."""
-    poly = target.nonlinearity
+    paths raise zip's ValueError, mixed rates multiplex's and a path whose
+    output is not finite _path's OverflowError; each is found when the
+    stream reaches it."""
     return multiplex(
-        SampledSignal(fftconvolve(_polynomial(s.samples, poly), fir), s.fs)
-        for s, fir in zip(inputs, target.paths, strict=True)
+        _path(i, s, fir, target.nonlinearity)
+        for i, (s, fir) in enumerate(zip(inputs, target.paths, strict=True))
     )
+
+
+def _path(i: int, s: SampledSignal, fir: np.ndarray, poly: np.ndarray) -> SampledSignal:
+    """Path i's output for input s, or an OverflowError naming the path,
+    with no numpy warning, where the output is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        out = fftconvolve(_polynomial(s.samples, poly), fir)
+    try:
+        return SampledSignal(out, s.fs)
+    except ValueError:  # SampledSignal refuses only non-finite samples here
+        raise OverflowError(f"paths[{i}] gives a non-finite output") from None
 
 
 def _capture(target: SimTarget, captured: SampledSignal, seed: int) -> SampledSignal:

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,11 +338,12 @@ def band_err_db(recording, gen, fir, band=0.45):
     return 10.0 * np.log10(np.sum(np.abs(gain * got - want) ** 2) / np.sum(np.abs(want) ** 2))
 
 
-def linear_run(tmp_path, ppm):
+def linear_run(tmp_path, ppm, shape=None):
     """The cli_short benchmark's chain at seed 1 (its room FIR and FVN seed,
     as perfbench/workloads.py derives them) through a linear, noiseless
-    target, aligned when it drifts: nothing but the float32 WAVs and, with
-    drift, the resampler and the band edge stand between the FIR and the
+    target, aligned when it drifts and shaped by `shape` if one is given:
+    nothing but the float32 WAVs, with drift the resampler and the band
+    edge, and with a shape its undoing stand between the FIR and the
     measured IR.  Returns the recording to measure, the generate directory
     and the FIR."""
     gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
@@ -353,7 +355,11 @@ def linear_run(tmp_path, ppm):
     seed = int(np.random.default_rng([1, 1]).integers(0, 2**31 - 64))
     target = tmp_path / "room.json"
     SimTarget(paths=[fir]).to_json(target)
-    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=seed) == 0
+    flags = {"sigma_t": 0.005, "period_no": 4410, "reps": 12, "codes": 2, "seed": seed}
+    if shape is not None:
+        flags["shape"] = tmp_path / "shape.json"
+        write_filter(flags["shape"], shape)
+    assert generate(gen, **flags) == 0
     argv = ["simulate", gen, "--config", target, "--out-dir", sim]
     if not ppm:
         assert run(*argv) == 0
@@ -367,6 +373,14 @@ def test_linear_noiseless_chain_reaches_the_float32_floor(tmp_path):
     """With no cubic, no noise and no drift, only the WAVs' float32
     rounding is left (about -149 dB)."""
     assert ir_err_db(*linear_run(tmp_path, 0.0)) <= -140.0
+
+
+def test_shaped_linear_noiseless_chain_reaches_the_float32_floor(tmp_path):
+    """Shaping at -3 dB/oct, which measure undoes on the folds, keeps the
+    chain at the float32 floor (about -147 dB); at -6 dB/oct the undoing
+    lifts the WAVs' rounding to about -125 dB."""
+    shape = design_slope_filter(-3.0, FS)
+    assert ir_err_db(*linear_run(tmp_path, 0.0, shape)) <= -140.0
 
 
 def test_linear_noiseless_chain_at_100_ppm_holds_the_band_below_045_fs(tmp_path):
@@ -613,6 +627,7 @@ def check_manifest_rejected(tmp_path, capsys, command, key, value=_DROP, names=N
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (key if names is None else names) in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -692,6 +707,29 @@ def test_simulate_refuses_a_plan_that_measure_refuses(tmp_path, capsys, key, val
     check_manifest_rejected(tmp_path, capsys, "simulate", key, value, names=names)
     assert not (tmp_path / "out").exists()
     check_manifest_rejected(tmp_path / "m", capsys, "measure", key, value, names=names)
+
+
+@pytest.mark.parametrize("command", ["simulate", "measure", "align"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("codes", 0, "k_codes must be in 1..16, got 0"),
+        ("codes", 17, "k_codes must be in 1..16, got 17"),
+        ("period_no", -1, "period_no must be >= 1, got -1"),
+        ("repetitions", 3, "too few periods: 3 repetitions"),
+        ("sigma_t", -1, "sigma_t must be positive, got -1"),
+    ],
+    ids=["codes-0", "codes-17", "period_no--1", "repetitions-3", "sigma_t--1"],
+)
+def test_plan_refusals_name_the_manifest(
+    tmp_path, capsys, command, key, value, message
+):
+    """Every plan refusal starts with the manifest's path, as its key
+    refusals do; a period_no of -1 is refused as out of range, not as a
+    pulse longer than a -12-sample emission."""
+    err = check_manifest_rejected(tmp_path, capsys, command, key, value, names=message)
+    assert err.startswith(f"error: {tmp_path / 'gen' / 'manifest.json'}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -871,6 +909,26 @@ def test_target_beyond_float_range_is_refused(tmp_path, capsys, doc, names):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("drift", [[], ["--drift-ppm", 100]], ids=["still", "drift"])
+def test_non_finite_path_is_refused_naming_the_target_without_warnings(
+    tmp_path, capsys, drift
+):
+    """A tap of 1e308 overflows the path's convolution; simulate refuses it
+    with one line naming the target file and the path, and numpy warns of
+    nothing on the way."""
+    gen, out, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
+    target.write_text(json.dumps({"paths": [[1e308, 0.5]]}))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("simulate", gen, "--config", target, *drift, "--out-dir", out) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == f"error: {target}: paths[0] gives a non-finite output\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_truncation_is_a_validation_error(tmp_path, capsys, value):
     ir, out = tmp_path / "ir.wav", tmp_path / "ana"
@@ -959,17 +1017,21 @@ def refuse_synthesis(*args, **kwargs):
     [
         ("generate", ["6 repetitions", "8"]),
         ("measure", ["code row index 5 out of range 0..1"]),
+        pytest.param("generate --fs", ["fs", "1073741823"], id="generate-rate"),
     ],
 )
 def test_refused_plan_synthesizes_nothing(
     tmp_path, capsys, monkeypatch, command, names
 ):
     """3 codes need 4 + 4 periods, so 6 repetitions leave no block to
-    average; that plan, and a code row beyond the matrix, are refused before
-    any unit pulse is synthesized."""
+    average; that plan, a code row beyond the matrix and a rate beyond a
+    WAV header are refused before any unit pulse is synthesized."""
     gen, out = tmp_path / "gen", tmp_path / "out"
     if command == "generate":
         argv = ["generate", "--codes", 3, "--reps", 6]
+    elif command == "generate --fs":
+        argv = ["generate", "--fs", 2000000000, "--sigma-t", 1e-8, "--period-no", 64]
+        argv += ["--reps", 8]
     else:
         assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
         manifest = read_json(gen / "manifest.json")
@@ -1307,7 +1369,7 @@ def test_shape_beyond_the_float32_range_is_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["measure", "align"])
+@pytest.mark.parametrize("command", ["measure", "align", "simulate"])
 @pytest.mark.parametrize(
     "shape, names",
     [
@@ -1318,12 +1380,17 @@ def test_shape_beyond_the_float32_range_is_refused(tmp_path, capsys, command):
 def test_bad_manifest_shape_names_the_manifest_and_the_key(
     tmp_path, capsys, command, shape, names
 ):
+    """simulate refuses the shape measure would refuse, rather than write
+    a recording no receiver can read."""
     gen, out = tmp_path / "gen", tmp_path / "out"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
     manifest = read_json(gen / "manifest.json")
     manifest["shape"] = shape
     (gen / "manifest.json").write_text(json.dumps(manifest))
-    argv = [command, gen / "channel_0.wav", gen, "--out-dir", out]
+    if command == "simulate":
+        argv = [command, gen, "--out-dir", out]
+    else:
+        argv = [command, gen / "channel_0.wav", gen, "--out-dir", out]
     check_one_error_line(capsys, argv, f"{gen / 'manifest.json'}: shape: ", *names)
     assert not out.exists()
 

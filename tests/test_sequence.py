@@ -359,3 +359,21 @@ def test_shaping_matches_lfilter_over_the_emission(which, period_no, reps):
         assert np.max(np.abs(got.samples - expected)) <= 1e-12 * peak
         shaped = shape_spectrum(plain, filt).samples
         assert np.max(np.abs(shaped - expected)) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("period_no", [1000, 8192])
+def test_check_plan_returns_the_emitted_length(period_no):
+    """A 4096-sample pulse sticks 3096 samples out of a 1000-sample period's
+    last copy and none out of an 8192-sample one; every channel coded_channels
+    emits has the length check_plan returns."""
+    codes = build_code_matrix(2)
+    length = sequence.check_plan(0.005, FS, [0, 1], codes, period_no, 12)
+    assert length == 12 * period_no + max(0, 4096 - period_no)
+    seeds, rows = [3, 4], [0, 1]
+    _, emitted = sequence.coded_channels(0.005, FS, seeds, rows, codes, period_no, 12)
+    assert [len(signal) for signal in emitted] == [length, length]
+
+
+def test_check_plan_refuses_a_negative_period_as_a_period():
+    with pytest.raises(ValueError, match=r"^period_no must be >= 1, got -1$"):
+        sequence.check_plan(0.005, FS, [0], build_code_matrix(1), -1, 12)

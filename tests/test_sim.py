@@ -271,3 +271,13 @@ def test_noise_level_is_bounded_by_the_largest_float():
     assert np.isfinite(10.0 ** (below.level_db / 20.0))
     with pytest.raises(ValueError, match="level_db"):
         NoiseSpec("white", first)
+
+
+def test_a_path_whose_output_overflows_is_named_without_warnings(recwarn):
+    """The second path's tap of 1e308 overflows its convolution; simulate
+    raises OverflowError naming that path, and numpy warns of nothing."""
+    x = SampledSignal(np.random.default_rng(0).standard_normal(1000), FS)
+    target = SimTarget(paths=[np.array([1.0, 0.5]), np.array([1e308, 0.5])])
+    with pytest.raises(OverflowError, match=r"^paths\[1\] gives a non-finite output$"):
+        simulate(target, [x, x])
+    assert len(recwarn) == 0
