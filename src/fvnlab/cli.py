@@ -147,8 +147,10 @@ def _env_seed() -> int | None:
     return seed
 
 
-def _read_manifest(arg: str) -> tuple[Path, dict]:
-    """Path and contents of a generate manifest (a file or its directory)."""
+def _read_manifest(arg: str) -> tuple[Path, dict, np.ndarray, ShapingFilter | None]:
+    """Path, contents, code matrix and shaping filter of a generate manifest
+    (a file or its directory), once its keys, its code rows and its plan
+    (_plan) pass; every refusal names the manifest."""
     path = Path(arg)
     if path.is_dir():
         path = path / "manifest.json"
@@ -166,7 +168,7 @@ def _read_manifest(arg: str) -> tuple[Path, dict]:
                 f"{path}: channels[{owners[row]}] and channels[{i}] share code_row {row}"
             )
         owners[row] = i
-    return path, manifest
+    return path, manifest, *_plan(manifest, path)
 
 
 def _read_at_manifest_rate(path: str | Path, manifest: dict) -> SampledSignal:
@@ -178,13 +180,6 @@ def _read_at_manifest_rate(path: str | Path, manifest: dict) -> SampledSignal:
             f"{path}: rate {signal.fs} does not match manifest {manifest['fs']}"
         )
     return signal
-
-
-def _read_recording(args) -> tuple[Path, dict, SampledSignal]:
-    """The manifest's path, the manifest and the recording `measure` and
-    `align` work on."""
-    path, manifest = _read_manifest(args.manifest)
-    return path, manifest, _read_at_manifest_rate(args.recording, manifest)
 
 
 def _read_target(path: str) -> SimTarget:
@@ -209,21 +204,21 @@ def _out_dir(args) -> Path:
 
 
 def _plan(
-    manifest: dict, shape_source: str, where: Path | None = None
+    manifest: dict, where: Path | None, shape_file: str | None = None
 ) -> tuple[np.ndarray, ShapingFilter | None]:
     """The manifest's code matrix and shaping filter, once its plan passes
     every check made before synthesis: the code count, sequence.check_plan,
     an emission longer than a WAV file holds, a rate beyond a WAV header,
     and a filter that is unstable or whose range breaks the float32 round
     trip.  A refusal starts with `where`, the manifest's path, if one is
-    given; a refused filter's with `shape_source`, where its coefficients
-    came from."""
+    given; a refused filter's with `shape_file`, the --shape file its
+    coefficients came from, or else with `where` and the shape key."""
     source, filt = where, None  # what a refusal names
     try:
-        codes = build_code_matrix(int(manifest["codes"]))
-        fs = float(manifest["fs"])
-        rows = [int(channel["code_row"]) for channel in manifest["channels"]]
-        period, reps = int(manifest["period_no"]), int(manifest["repetitions"])
+        codes = build_code_matrix(manifest["codes"])
+        fs = float(manifest["fs"])  # as float in check_plan's messages
+        rows = [channel["code_row"] for channel in manifest["channels"]]
+        period, reps = manifest["period_no"], manifest["repetitions"]
         length = check_plan(float(manifest["sigma_t"]), fs, rows, codes, period, reps)
         if length > fileio.MAX_WAV_SAMPLES:
             raise ValueError(
@@ -235,7 +230,7 @@ def _plan(
                 f"fs must be at most {fileio.MAX_WAV_RATE} Hz for a WAV file"
             )
         if manifest.get("shape"):
-            source = shape_source
+            source = shape_file or f"{where}: shape"
             filt = ShapingFilter(np.asarray(manifest["shape"], dtype=np.float64))
             span = filt.range_db(fs)
             if span > MAX_SHAPE_RANGE_DB:
@@ -248,24 +243,15 @@ def _plan(
     return codes, filt
 
 
-def _channels_from_manifest(manifest: dict, shape_source: str, where=None) -> tuple[
-    np.ndarray, ShapingFilter | None, list[SampledSignal], Iterator[SampledSignal]
-]:
-    """Code matrix, shaping filter, unit pulses and lazily emitted signals,
-    once _plan passes the manifest."""
-    codes, filt = _plan(manifest, shape_source, where)
-    channels = manifest["channels"]
-    units, emitted = coded_channels(
-        float(manifest["sigma_t"]),
-        float(manifest["fs"]),
-        [int(channel["seed"]) for channel in channels],
-        [int(channel["code_row"]) for channel in channels],
-        codes,
-        int(manifest["period_no"]),
-        int(manifest["repetitions"]),
-        filt,
-    )
-    return codes, filt, units, emitted
+def _signals(
+    manifest: dict, codes: np.ndarray, filt: ShapingFilter | None
+) -> tuple[list[SampledSignal], Iterator[SampledSignal]]:
+    """Unit pulses and lazily emitted signals of a plan _plan passed."""
+    sigma_t, fs = float(manifest["sigma_t"]), float(manifest["fs"])
+    seeds = [channel["seed"] for channel in manifest["channels"]]
+    rows = [channel["code_row"] for channel in manifest["channels"]]
+    period, reps = manifest["period_no"], manifest["repetitions"]
+    return coded_channels(sigma_t, fs, seeds, rows, codes, period, reps, filt)
 
 
 def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float]:
@@ -279,14 +265,14 @@ def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float]:
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     shape = _read_shape(cfg["shape"]) if cfg["shape"] else None
-    seed = int(cfg["seed"])
-    codes = build_code_matrix(int(cfg["codes"]))  # rejects bad counts first
+    seed = cfg["seed"]
+    codes = build_code_matrix(cfg["codes"])  # rejects bad counts first
     manifest = {
         "fs": float(cfg["fs"]),
         "sigma_t": float(cfg["sigma_t"]),
         "codes": len(codes),
-        "period_no": int(cfg["period_no"]),
-        "repetitions": int(cfg["reps"]),
+        "period_no": cfg["period_no"],
+        "repetitions": cfg["reps"],
         "seed": seed,
         "channels": [
             {"file": f"channel_{i}.wav", "seed": seed + i, "code_row": i}
@@ -295,7 +281,8 @@ def cmd_generate(args) -> int:
         "shape": shape,
     }
     start = time.perf_counter()
-    _, filt, _, emitted = _channels_from_manifest(manifest, cfg["shape"])
+    codes, filt = _plan(manifest, None, cfg["shape"])
+    _, emitted = _signals(manifest, codes, filt)
     synthesized = time.perf_counter()
     out = _out_dir(args)
 
@@ -328,8 +315,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    path, manifest = _read_manifest(args.manifest)
-    _plan(manifest, f"{path}: shape", path)  # forward no plan measure refuses
+    path, manifest, *_ = _read_manifest(args.manifest)
     channels = manifest["channels"]
     if args.config:
         target = _read_target(args.config)
@@ -352,7 +338,7 @@ def cmd_simulate(args) -> int:
         )
     seed = _env_seed()
     if seed is None:
-        seed = int(manifest["seed"]) if args.seed is None else args.seed
+        seed = manifest["seed"] if args.seed is None else args.seed
     # sim.simulate in two steps, so the emission is freed before the drift
     start = time.perf_counter()
     try:
@@ -361,7 +347,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{args.config}: {exc}") from None
     del drive
     source = f"{args.config}: drift.ppm" if args.drift_ppm is None else "--drift-ppm"
-    period_no = int(manifest["period_no"])
+    period_no = manifest["period_no"]
     _check_drift(source, target.drift, len(played), period_no)
     played_at = time.perf_counter()
     recorded = _capture(target, played, seed)
@@ -417,17 +403,18 @@ def _check_drift(
 
 
 def cmd_measure(args) -> int:
-    path, manifest, recorded = _read_recording(args)
-    codes, filt, units, _ = _channels_from_manifest(manifest, f"{path}: shape", path)
+    _, manifest, codes, filt = _read_manifest(args.manifest)
+    recorded = _read_at_manifest_rate(args.recording, manifest)
+    units, _ = _signals(manifest, codes, filt)
     start = time.perf_counter()
-    rows = [int(ch["code_row"]) for ch in manifest["channels"]]
+    rows = [ch["code_row"] for ch in manifest["channels"]]
     result = demultiplex(
         recorded,
         units,
         codes,
-        int(manifest["period_no"]),
+        manifest["period_no"],
         code_row_indices=rows,
-        total_periods=int(manifest["repetitions"]),
+        total_periods=manifest["repetitions"],
         filt=filt,
     )
     if len(units) > 1:  # the linear/nonlinear split needs several codes
@@ -473,7 +460,11 @@ def cmd_analyze(args) -> int:
                 f"--truncate-ms is {samples:.0f} samples, outside 2..{len(ir)}"
             )
         length = int(round(samples))
-    smoothed = third_octave_smooth(power_spectrum(ir, analysis_length=length))
+    spectrum = power_spectrum(ir, analysis_length=length)
+    try:
+        smoothed = third_octave_smooth(spectrum)
+    except ValueError as exc:  # fewer than 6 samples give no band
+        raise ValueError(f"{args.ir}: {length or len(ir)} samples: {exc}") from None
     out = _out_dir(args)
     fileio.write_spectrum_csv(out / "spectrum.csv", smoothed.freqs, smoothed.level_db)
     print(
@@ -484,12 +475,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_align(args) -> int:
-    path, manifest, recorded = _read_recording(args)
-    *_, emitted = _channels_from_manifest(manifest, f"{path}: shape", path)
+    _, manifest, codes, filt = _read_manifest(args.manifest)
+    recorded = _read_at_manifest_rate(args.recording, manifest)
+    _, emitted = _signals(manifest, codes, filt)
     start = time.perf_counter()
     reference = multiplex(emitted)
     try:
-        delays = track_block_delays(reference, recorded, int(manifest["period_no"]))
+        delays = track_block_delays(reference, recorded, manifest["period_no"])
         warp = delays.warp(recorded.duration)
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc

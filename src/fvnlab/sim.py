@@ -165,9 +165,10 @@ def simulate(
     from a common stimulus.  The output is long enough for every path's
     convolution tail.  Noise is seeded, so a run is reproducible bit for
     bit.  A path whose output is not finite raises OverflowError, naming
-    the path.  This is _play then _capture; a caller that owns the inputs,
-    as the CLI does, calls the two in turn and drops the inputs between
-    them, so they are gone before the drift's buffers.
+    the path, as does a sum of the paths that overflows.  This is _play
+    then _capture; a caller that owns the inputs, as the CLI does, calls
+    the two in turn and drops the inputs between them, so they are gone
+    before the drift's buffers.
     """
     return _capture(target, _play(target, inputs), seed)
 
@@ -176,13 +177,18 @@ def _play(target: SimTarget, inputs: Iterable[SampledSignal]) -> SampledSignal:
     """The Hammerstein paths: each input through the nonlinearity and its
     path's FIR, summed by multiplex as it arrives, so a lazy `inputs` is
     read one input at a time.  Inputs that do not pair one to one with the
-    paths raise zip's ValueError, mixed rates multiplex's and a path whose
-    output is not finite _path's OverflowError; each is found when the
-    stream reaches it."""
-    return multiplex(
-        _path(i, s, fir, target.nonlinearity)
-        for i, (s, fir) in enumerate(zip(inputs, target.paths, strict=True))
-    )
+    paths raise zip's ValueError, mixed rates multiplex's, and a path whose
+    output is not finite or finite outputs whose sum overflows an
+    OverflowError, with no numpy warning; each is found when the stream
+    reaches it."""
+    try:
+        with np.errstate(over="raise"):  # _path sets its own state inside
+            return multiplex(
+                _path(i, s, fir, target.nonlinearity)
+                for i, (s, fir) in enumerate(zip(inputs, target.paths, strict=True))
+            )
+    except FloatingPointError:  # the sum; _path checks each output itself
+        raise OverflowError("the sum of the paths' outputs is not finite") from None
 
 
 def _path(i: int, s: SampledSignal, fir: np.ndarray, poly: np.ndarray) -> SampledSignal:

@@ -83,14 +83,19 @@ def third_octave_smooth(spectrum: PowerSpectrum) -> SmoothedSpectrum:
 
     Output bins keep the input grid but only where the full window
     [f * 2**(-1/6), f * 2**(1/6)] lies inside the analyzable band (at or
-    above the first nonzero-frequency bin, at or below the top bin).  Levels
-    are 10 log10(Q); zero power maps to -inf.
+    above the first nonzero-frequency bin, at or below the top bin), and a
+    grid on which no window fits is refused: a DFT grid of fewer than 6
+    samples.  Levels are 10 log10(Q); zero power maps to -inf.
     """
     freqs = spectrum.freqs
     f_low = freqs[1] if freqs[0] == 0.0 else freqs[0]
     lo = freqs * THIRD_OCTAVE_DOWN
     hi = freqs * THIRD_OCTAVE_UP
     defined = (lo >= f_low) & (hi <= freqs[-1])
+    if not defined.any():
+        raise ValueError(
+            "no third-octave window fits between the first nonzero bin and the top bin"
+        )
     lo = lo[defined]
     hi = hi[defined]
     mean_power = (

@@ -732,6 +732,24 @@ def test_plan_refusals_name_the_manifest(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["measure", "align"])
+def test_refused_plan_is_reported_before_the_recording_is_read(
+    tmp_path, capsys, command
+):
+    """measure and align check the manifest's plan before they open the
+    recording: with a refused plan and no recording file the line names the
+    manifest, not the missing file."""
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    path = gen / "manifest.json"
+    path.write_text(json.dumps({**read_json(path), "codes": 0}))
+    capsys.readouterr()
+    assert run(command, tmp_path / "missing.wav", gen, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: k_codes must be in 1..16, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc, names",
     [
@@ -913,20 +931,28 @@ def test_target_beyond_float_range_is_refused(tmp_path, capsys, doc, names):
 def test_non_finite_path_is_refused_naming_the_target_without_warnings(
     tmp_path, capsys, drift
 ):
-    """A tap of 1e308 overflows the path's convolution; simulate refuses it
-    with one line naming the target file and the path, and numpy warns of
-    nothing on the way."""
+    """A tap of 1e308 overflows the path's convolution, and two paths whose
+    outputs are finite (channel peaks ~0.35 and ~0.31, cubed gain 3e308)
+    overflow their sum; simulate refuses each with one line naming the
+    target file, and numpy warns of nothing on the way."""
     gen, out, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2) == 0
-    target.write_text(json.dumps({"paths": [[1e308, 0.5]]}))
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run("simulate", gen, "--config", target, *drift, "--out-dir", out) == 1
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err == f"error: {target}: paths[0] gives a non-finite output\n"
-    assert not out.exists()
+    for doc, reason in (
+        ({"paths": [[1e308, 0.5]]}, "paths[0] gives a non-finite output"),
+        (
+            {"paths": [[1e308], [1e308]], "nonlinearity": [3.0]},
+            "the sum of the paths' outputs is not finite",
+        ),
+    ):
+        target.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["simulate", gen, "--config", target, *drift, "--out-dir", out]
+            assert run(*argv) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"error: {target}: {reason}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -951,6 +977,35 @@ def test_truncation_out_of_range_is_a_validation_error_naming_the_flag(
         argv = ["analyze", ir, *flag, "--out-dir", out]
         check_one_error_line(capsys, argv, "--truncate-ms", "2..4410")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4, 5])
+def test_analysis_of_fewer_than_six_samples_is_refused(tmp_path, capsys, samples):
+    """2..5 analysed samples leave no third-octave window between the first
+    nonzero bin and the top bin: cut short by --truncate-ms or a WAV file
+    that short, analyze refuses with one line naming the IR file and the
+    sample count, and creates no output directory."""
+    ir, short, out = tmp_path / "ir.wav", tmp_path / "short.wav", tmp_path / "ana"
+    write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(4409)], 44100.0))
+    write_wav(short, SampledSignal(np.r_[1.0, np.zeros(samples - 1)], 44100.0))
+    flag = ["--truncate-ms", str(samples / 44.1)]
+    for argv in (["analyze", ir, *flag], ["analyze", short]):
+        prefix = f"error: {argv[1]}: {samples} samples: "
+        check_one_error_line(capsys, [*argv, "--out-dir", out], prefix)
+        assert not out.exists()
+
+
+def test_analysis_of_six_samples_writes_one_band(tmp_path):
+    """Six samples are the fewest that fit a window: the band at fs/3."""
+    ir, short = tmp_path / "ir.wav", tmp_path / "short.wav"
+    write_wav(ir, SampledSignal(np.r_[1.0, np.zeros(4409)], 44100.0))
+    write_wav(short, SampledSignal(np.r_[1.0, np.zeros(5)], 44100.0))
+    flag = ["--truncate-ms", str(6 / 44.1)]
+    for i, argv in enumerate((["analyze", ir, *flag], ["analyze", short])):
+        out = tmp_path / f"ana{i}"
+        assert run(*argv, "--out-dir", out) == 0
+        rows = list(csv.reader((out / "spectrum.csv").open()))[1:]
+        assert [float(f) for f, _ in rows] == [14700.0]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

@@ -84,3 +84,14 @@ def test_power_spectrum_validation():
         PowerSpectrum(np.array([0.0, 1.0, 1.0]), np.ones(3))
     with pytest.raises(ValueError):
         PowerSpectrum(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_that_fits_no_window_is_refused(n):
+    """Below 6 DFT samples no window lies between the first nonzero bin and
+    the top bin; 6 samples fit one, at fs / 3."""
+    ir = SampledSignal(np.r_[1.0, np.zeros(7)], FS)
+    with pytest.raises(ValueError, match="no third-octave window fits"):
+        third_octave_smooth(power_spectrum(ir, analysis_length=n))
+    one = third_octave_smooth(power_spectrum(ir, analysis_length=6))
+    assert one.freqs.tolist() == [FS / 3]
