@@ -5,9 +5,14 @@ The emitted reference and a recording of it run on independent playback
 the reference inside the recording from their cross-spectrum (generalized
 cross-correlation, Knapp & Carter 1976); track_block_delays fits a line
 through those delays, and BlockDelays.warp turns the line's slope into the
-warp that `fvnlab align` and selftest criterion 09 apply.  Both hold
-block-sized buffers only.  Resampling the recording through the warp puts
-both on a common clock.
+warp that `fvnlab align` and selftest criterion 09 apply.  Both run over
+ReferenceBlocks, a pre-pass that transforms each distinct reference block
+once: fvnlab's emissions repeat every code cycle, so their blocks share a
+few cached spectra and the reference need not be kept.  Both hold
+block-sized buffers only, whether the reference repeats or not.
+Resampling the recording through the warp puts both on a common clock;
+apply_warp takes the warp as a function it calls once the recording is
+upsampled, so `fvnlab align` can track the drift during the upsampling.
 
 Fundamental-phase tracking (build_probe, track_phase, build_warp_map) is
 the paper's method; no command or criterion runs it, and the package root
@@ -21,12 +26,13 @@ a recording against the trajectory of the reference gives the time warp.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fvn import SIX_TERM_COEFFS
-from .resample import fftconvolve, resample_oversampled
+from .resample import _fast_len, fftconvolve, resample_oversampled
 from .signal import SampledSignal
 
 
@@ -225,10 +231,10 @@ class BlockDelays:
         return WarpMap(scale * span, span)
 
 
-def _read_block(x: np.ndarray, start: int, size: int) -> np.ndarray:
-    """x[start : start + size], with zeros wherever that runs off x."""
-    out = np.zeros(size)
-    lo, hi = max(start, 0), min(start + size, x.size)
+def _read_block(x: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+    """out = x[start : start + out.size], with zeros wherever that runs off x."""
+    out[:] = 0.0
+    lo, hi = max(start, 0), min(start + out.size, x.size)
     if hi > lo:
         out[lo - start : hi - start] = x[lo:hi]
     return out
@@ -268,6 +274,141 @@ def _fit_lag_line(
     return float(slope), float(lag_mean - slope * c_mean), used, rms
 
 
+_CACHED_SPECTRA = 8  # distinct reference blocks whose spectra are kept
+
+
+class ReferenceBlocks:
+    """A reference cut into blocks of 2 period_no samples, transformed once
+    for block_lags' walk over a recording (lags, or delays with the line).
+
+    Each distinct block is transformed once: a block whose samples are bit
+    for bit those of an earlier one (a stride of its samples picks the
+    candidates, np.array_equal on their bits decides) shares that block's
+    Hann-weighted conjugate spectrum, so a periodic emission costs one
+    transform per block of its code cycle.  At most _CACHED_SPECTRA spectra
+    are kept; the reference itself is kept only if some block has none, and
+    the walk transforms such a block as it reads it.  The walk's scratch is
+    allocated here, block-sized, so a walk on another thread allocates no
+    buffer of its own (glibc keeps a thread's allocations in that thread's
+    own arena).  One walk at a time.
+    """
+
+    def __init__(self, reference: SampledSignal, period_no: int):
+        if period_no < 1:
+            raise ValueError(f"period_no must be positive, got {period_no}")
+        x = reference.samples
+        size = 2 * period_no
+        count = x.size // size
+        if count < 3:
+            raise ValueError(
+                f"the reference holds {count} block(s) of 2 x period_no samples; "
+                "tracking needs 3"
+            )
+        self.fs, self.period_no, self.count = reference.fs, period_no, count
+        self._window = np.hanning(size)
+        freqs = np.fft.rfftfreq(size)
+        lo, hi = np.searchsorted(freqs, 0.005), np.searchsorted(freqs, 0.4, "right")
+        self._band, self._freqs = slice(lo, hi), freqs[lo:hi]
+        self._freqs2 = self._freqs * self._freqs
+        self._block = np.empty(size)  # a block read, then its correlation
+        self._spec = np.empty(size // 2 + 1, dtype=np.complex128)
+        self._padded = np.zeros(size // 2 + 1, dtype=np.complex128)
+        # the band's cross-spectrum, middle block's conjugate and phase
+        # ramp, then the weights and angles
+        self._r, self._mid, self._phase = np.empty((3, hi - lo), np.complex128)
+        self._weight, self._angle = np.empty((2, hi - lo))
+        # the middle search's length, with no prime factor pocketfft would
+        # run Bluestein's algorithm for; the padding wraps no lag it reads
+        reach = period_no // 4
+        self._segment = np.empty(_fast_len(size + 2 * reach, (2, 3, 5)))
+        self._segment_spec = np.empty(self._segment.size // 2 + 1, np.complex128)
+        mid = (count // 2) * size
+        self._search = np.conj(
+            np.fft.rfft(x[mid : mid + size] * self._window, self._segment.size)
+        )
+        self._spectra: list[np.ndarray] = []
+        self._slots = np.full(count, -1)  # block -> its spectrum, -1 for none
+        firsts: dict[bytes, list[int]] = {}  # fingerprint -> blocks with spectra
+        # compared as int64, so equal means the same bits (-0.0 is not 0.0)
+        blocks = x[: count * size].view(np.int64).reshape(count, size)
+        for b, block in enumerate(blocks):
+            key = block[:: max(size // 16, 1)].tobytes()
+            same = [a for a in firsts.get(key, ()) if np.array_equal(block, blocks[a])]
+            if same:
+                self._slots[b] = self._slots[same[0]]
+            elif len(self._spectra) < _CACHED_SPECTRA:
+                firsts.setdefault(key, []).append(b)
+                self._slots[b] = len(self._spectra)
+                self._spectra.append(np.conj(self._spectrum(x, b * size)))
+        # the reference, and a band for a block's conjugate, only if needed
+        self._samples = self._ref = None
+        if np.any(self._slots < 0):
+            self._samples, self._ref = x, np.empty(hi - lo, np.complex128)
+
+    def _spectrum(self, x: np.ndarray, start: int) -> np.ndarray:
+        """The band of the Hann-weighted rfft of x[start : start + 2
+        period_no], zeros past x: a view of scratch."""
+        block = _read_block(x, start, self._block)
+        block *= self._window
+        return np.fft.rfft(block, out=self._spec)[self._band]
+
+    def _cross(self, y: np.ndarray, b: int, k: int) -> np.ndarray:
+        """conj(X_b) Y_b, with Y_b read from the start of block b plus k."""
+        start, slot = b * self._block.size, self._slots[b]
+        if slot >= 0:
+            ref = self._spectra[slot]
+        else:
+            ref = np.conj(self._spectrum(self._samples, start), out=self._ref)
+        return np.multiply(ref, self._spectrum(y, start + k), out=self._r)
+
+    def lags(self, recorded: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
+        """block_lags(reference, recorded, period_no) for this reference."""
+        if recorded.fs != self.fs:
+            raise ValueError("sample rates of reference and recording differ")
+        y, size, count = recorded.samples, self._block.size, self.count
+        band, freqs, padded = self._band, self._freqs, self._padded
+        mid = count // 2
+        reach = self.period_no // 4
+        segment = self._segment  # zero-padded, then the correlation
+        _read_block(y, mid * size - reach, segment[: size + 2 * reach])
+        segment[size + 2 * reach :] = 0.0
+        spec = np.fft.rfft(segment, out=self._segment_spec)
+        spec *= self._search
+        corr = np.fft.irfft(spec, segment.size, out=segment)[: 2 * reach + 1]
+        k_mid = int(np.argmax(np.abs(corr, out=corr))) - reach
+        mid_conj = np.conj(self._cross(y, mid, k_mid), out=self._mid)
+        lags = np.full(count, np.nan)
+        lags[mid] = k_mid
+        for direction in (1, -1):
+            previous, step = float(k_mid), 0.0
+            for b in range(mid + direction, count if direction > 0 else -1, direction):
+                k = int(round(previous + step))
+                r = self._cross(y, b, k)
+                r *= mid_conj
+                padded[band] = r
+                shift = int(np.argmax(np.fft.irfft(padded, size, out=self._block)))
+                shift -= size if shift > size // 2 else 0
+                if shift:  # exp(0) is 1
+                    ramp = np.multiply(2j * np.pi * shift, freqs, out=self._phase)
+                    r *= np.exp(ramp, out=ramp)
+                weight = np.abs(r, out=self._weight)
+                norm = np.dot(weight, self._freqs2)
+                if norm > 0.0:
+                    angle = np.arctan2(r.imag, r.real, out=self._angle)  # np.angle(r)
+                    slope = np.dot(np.multiply(weight, angle, out=angle), freqs) / norm
+                    lags[b] = k + shift - slope / (2.0 * np.pi)
+                    step, previous = lags[b] - previous, lags[b]
+        centres = np.arange(count) * float(size) + (size - 1) / 2.0
+        return centres, lags
+
+    def delays(self, recorded: SampledSignal) -> BlockDelays:
+        """track_block_delays(reference, recorded, period_no) for this
+        reference."""
+        centres, lags = self.lags(recorded)
+        slope, intercept, used, rms = _fit_lag_line(centres, lags)
+        return BlockDelays(centres, lags, used, slope, intercept, rms)
+
+
 def block_lags(
     reference: SampledSignal, recorded: SampledSignal, period_no: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,65 +428,13 @@ def block_lags(
     from the peak of |cross-correlation| (within +-period_no // 4); walking
     outward from it, each block reads at the previous lag plus the last
     step.  Reads past either end of a signal give zeros; a block with no
-    signal in band reads NaN.  Buffers are block-sized.
+    signal in band reads NaN.  The reference is transformed once per
+    distinct block (ReferenceBlocks), so a reference that repeats, as every
+    fvnlab emission does, costs a transform per block of its cycle and the
+    recording one per block.  Buffers are block-sized, a few cached spectra
+    included.
     """
-    if reference.fs != recorded.fs:
-        raise ValueError("sample rates of reference and recording differ")
-    if period_no < 1:
-        raise ValueError(f"period_no must be positive, got {period_no}")
-    x, y = reference.samples, recorded.samples
-    size = 2 * period_no
-    count = x.size // size
-    if count < 3:
-        raise ValueError(
-            f"the reference holds {count} block(s) of 2 x period_no samples; "
-            "tracking needs 3"
-        )
-    window = np.hanning(size)
-    freqs = np.fft.rfftfreq(size)
-    lo, hi = np.searchsorted(freqs, 0.005), np.searchsorted(freqs, 0.4, "right")
-    freqs = freqs[lo:hi]
-
-    def spectrum(signal: np.ndarray, start: int) -> np.ndarray:
-        block = _read_block(signal, start, size)
-        block *= window
-        return np.fft.rfft(block)[lo:hi]
-
-    def cross_spectrum(b: int, k: int) -> np.ndarray:
-        spec = np.conj(spectrum(x, b * size))
-        spec *= spectrum(y, b * size + k)
-        return spec
-
-    mid = count // 2
-    reach = period_no // 4
-    segment = _read_block(y, mid * size - reach, size + 2 * reach)
-    spec = np.fft.rfft(segment)
-    block = x[mid * size : (mid + 1) * size] * window
-    spec *= np.conj(np.fft.rfft(block, segment.size))
-    corr = np.fft.irfft(spec, segment.size)[: 2 * reach + 1]
-    k_mid = int(np.argmax(np.abs(corr))) - reach
-    mid_conj = np.conj(cross_spectrum(mid, k_mid))
-    lags = np.full(count, np.nan)
-    lags[mid] = k_mid
-    padded = np.zeros(size // 2 + 1, dtype=np.complex128)
-    for direction in (1, -1):
-        previous, step = float(k_mid), 0.0
-        for b in range(mid + direction, count if direction > 0 else -1, direction):
-            k = int(round(previous + step))
-            r = cross_spectrum(b, k)
-            r *= mid_conj
-            padded[lo:hi] = r
-            shift = int(np.argmax(np.fft.irfft(padded, size)))
-            shift -= size if shift > size // 2 else 0
-            r *= np.exp(2j * np.pi * shift * freqs)
-            weight = np.abs(r)
-            norm = np.dot(weight, freqs * freqs)
-            if norm > 0.0:
-                slope = np.dot(weight * np.angle(r), freqs) / norm
-                lags[b] = k + shift - slope / (2.0 * np.pi)
-                step, previous = lags[b] - previous, lags[b]
-    centres = np.arange(count) * float(size) + (size - 1) / 2.0
-    return centres, lags
+    return ReferenceBlocks(reference, period_no).lags(recorded)
 
 
 def track_block_delays(
@@ -363,35 +452,35 @@ def track_block_delays(
     block, which cancels this.  A drift that is not linear leaves fewer
     than two lags on one line and is refused; block_lags still reads it.
     """
-    centres, lags = block_lags(reference, recorded, period_no)
-    slope, intercept, used, rms = _fit_lag_line(centres, lags)
-    return BlockDelays(centres, lags, used, slope, intercept, rms)
+    return ReferenceBlocks(reference, period_no).delays(recorded)
 
 
-def apply_warp(signal: SampledSignal, warp: WarpMap) -> SampledSignal:
+def apply_warp(signal: SampledSignal, warp: Callable[[], WarpMap]) -> SampledSignal:
     """Resample a capture-clock recording onto the playback clock.
 
     Output sample m holds the input evaluated at the capture time that maps
     to playback time m / fs, so the result is what an ideal converter on the
-    playback clock would have recorded.  The warp must cover the whole
-    signal span, as BlockDelays.warp does.  The positions are built only
-    once the recording is upsampled, so they do not exist while its
-    transforms run.
+    playback clock would have recorded.  warp is a function of no arguments
+    that returns the WarpMap; it is called once the recording is upsampled,
+    as are the positions built from it, so neither needs to exist while its
+    transforms run (`fvnlab align` tracks the drift meanwhile).  The warp
+    must cover the whole signal span, as BlockDelays.warp does.
     """
     n = len(signal)
-    end = (n - 1) / signal.fs  # the last of the output times below
-    eps = 0.5 / signal.fs
-    if warp.t_da[0] > eps or warp.t_da[-1] < end - eps:
-        raise ValueError(
-            "warp map does not cover the signal span "
-            f"([{warp.t_da[0]:.6f}, {warp.t_da[-1]:.6f}] s versus "
-            f"[0, {end:.6f}] s); build it over the whole span"
-        )
 
     def positions():
+        w = warp()
+        end = (n - 1) / signal.fs  # the last of the output times below
+        eps = 0.5 / signal.fs
+        if w.t_da[0] > eps or w.t_da[-1] < end - eps:
+            raise ValueError(
+                "warp map does not cover the signal span "
+                f"([{w.t_da[0]:.6f}, {w.t_da[-1]:.6f}] s versus "
+                f"[0, {end:.6f}] s); build it over the whole span"
+            )
         t_out = np.arange(n, dtype=np.float64)
         t_out /= signal.fs
-        t_ad = np.interp(t_out, warp.t_da, warp.t_ad)
+        t_ad = np.interp(t_out, w.t_da, w.t_ad)
         t_ad *= signal.fs
         return t_ad
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
-from .align import apply_warp, track_block_delays
+from . import fileio, resample
+from .align import ReferenceBlocks, apply_warp
 from .codes import build_code_matrix
 from .measure import demultiplex, separate_nonlinear
 from .sequence import ShapingFilter, check_plan, coded_channels, multiplex
@@ -451,6 +451,8 @@ def cmd_measure(args) -> int:
 
 def cmd_analyze(args) -> int:
     ir = fileio.read_wav(args.ir)
+    if len(ir) < 2:  # power_spectrum would name its own argument, not the file
+        raise ValueError(f"{args.ir}: 1 sample: a spectrum needs at least 2")
     length = None
     if args.truncate_ms is not None:
         # compared before rounding: a huge flag value gives inf samples
@@ -474,21 +476,44 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _track(blocks: ReferenceBlocks, recorded: SampledSignal) -> tuple:
+    """(delays, warp, seconds taken) of the block tracker's walk over the
+    recording; a refusal is an alignment failure."""
+    start = time.perf_counter()
+    try:
+        delays = blocks.delays(recorded)
+        warp = delays.warp(recorded.duration)
+    except ValueError as exc:
+        raise RuntimeError(f"alignment failed: {exc}") from exc
+    return delays, warp, time.perf_counter() - start
+
+
 def cmd_align(args) -> int:
     _, manifest, codes, filt = _read_manifest(args.manifest)
     recorded = _read_at_manifest_rate(args.recording, manifest)
     _, emitted = _signals(manifest, codes, filt)
     start = time.perf_counter()
-    reference = multiplex(emitted)
-    try:
-        delays = track_block_delays(reference, recorded, manifest["period_no"])
-        warp = delays.warp(recorded.duration)
+    try:  # the reference goes once its blocks are transformed
+        blocks = ReferenceBlocks(multiplex(emitted), manifest["period_no"])
     except ValueError as exc:
         raise RuntimeError(f"alignment failed: {exc}") from exc
-    del reference  # apply_warp's buffers come next
-    tracked = time.perf_counter()
-    aligned = apply_warp(recorded, warp)
+    prepared = time.perf_counter()
+    if resample._workers(len(recorded)) < 2:  # the warp has this CPU alone
+        tracked = _track(blocks, recorded)
+        del blocks  # the tracker's buffers go before the warp's come
+        warping = time.perf_counter()
+        aligned = apply_warp(recorded, lambda: tracked[1])
+    else:  # the tracker walks on another CPU while the warp upsamples
+        from concurrent.futures import ThreadPoolExecutor  # only long records
+
+        warping = prepared
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(_track, blocks, recorded)
+            del blocks  # the worker drops them once its walk is done
+            aligned = apply_warp(recorded, lambda: future.result()[1])
+        tracked = future.result()
     warped = time.perf_counter()
+    delays, _, walk_s = tracked
     fs = recorded.fs
     out = _out_dir(args)
     fileio.write_wav(out / "aligned.wav", aligned)
@@ -505,8 +530,8 @@ def cmd_align(args) -> int:
         "blocks_used": int(np.count_nonzero(delays.used)),
         "lag_residual_rms_samples": delays.residual_rms,
         "timings_s": {
-            "track_s": tracked - start,
-            "warp_s": warped - tracked,
+            "track_s": prepared - start + walk_s,
+            "warp_s": warped - warping,
             "write_s": time.perf_counter() - warped,
         },
     }

@@ -281,7 +281,7 @@ def criterion_drift_recovery() -> tuple[bool, str]:
     warp = delays.warp(drifted.duration)
     slope_err = abs(1.0 / (1.0 + delays.slope) - 1.0001)
 
-    aligned_ratio = peak_of(apply_warp(drifted, warp)) / peak0
+    aligned_ratio = peak_of(apply_warp(drifted, lambda: warp)) / peak0
     raw_ratio = peak_of(drifted) / peak0  # recorded, not thresholded
 
     wobble = simulate(

@@ -5,7 +5,10 @@ Phase-tracked cases use plain tones: the tracker itself does not care
 whether the fundamental comes from a pulse train or a cosine, and tones
 have exactly known trajectories.  Block-tracked cases use white noise that
 repeats every two periods: it covers the whole band, and like every fvnlab
-emission it is periodic, so each block holds the same stretch of it.
+emission it is periodic, so each block holds the same stretch of it.  The
+tracker's walk is checked bit for bit against the loop that transformed
+every reference block (oracle_block_lags), on fvnlab emissions and on
+noise that does not repeat.
 """
 
 import dataclasses
@@ -18,9 +21,13 @@ from fvnlab import (
     DriftSpec,
     SampledSignal,
     WarpMap,
+    align,
     apply_drift,
     apply_warp,
     block_lags,
+    build_code_matrix,
+    coded_channels,
+    multiplex,
     track_block_delays,
 )
 from fvnlab.align import (
@@ -190,7 +197,7 @@ def test_apply_warp_identity_returns_the_signal():
     rng = np.random.default_rng(5)
     x = SampledSignal(rng.standard_normal(10000), FS)
     span = np.array([-0.1, len(x) / FS + 0.1])
-    out = apply_warp(x, WarpMap(span, span))
+    out = apply_warp(x, lambda: WarpMap(span, span))
     assert np.max(np.abs(out.samples - x.samples)) < 1e-9
 
 
@@ -203,7 +210,7 @@ def test_apply_warp_then_inverse_restores_the_interior():
     grid = np.linspace(-0.1, hi, 50)
     forward = WarpMap(grid, 1.0001 * grid)
     backward = WarpMap(1.0001 * grid, grid)
-    back = apply_warp(apply_warp(x, forward), backward)
+    back = apply_warp(apply_warp(x, lambda: forward), lambda: backward)
     pad = 4 * HALF_TAPS
     err = np.max(np.abs(back.samples[pad:-pad] - x.samples[pad:-pad]))
     assert err < 1e-3
@@ -213,7 +220,7 @@ def test_apply_warp_requires_coverage():
     x = SampledSignal(np.zeros(10000), FS)
     short = np.array([0.01, 0.05])
     with pytest.raises(ValueError, match="does not cover the signal span"):
-        apply_warp(x, WarpMap(short, short))
+        apply_warp(x, lambda: WarpMap(short, short))
 
 
 def noise_pair(ppm, delay=7, blocks=10, period=2205, seed=8):
@@ -321,3 +328,129 @@ def test_median_is_np_median_bit_for_bit(size):
         before = x.copy()
         assert _median(x).tobytes() == np.median(x).tobytes()
         assert np.array_equal(x, before)
+
+
+def _oracle_read_block(x, start, size):
+    out = np.zeros(size)
+    lo, hi = max(start, 0), min(start + size, x.size)
+    if hi > lo:
+        out[lo - start : hi - start] = x[lo:hi]
+    return out
+
+
+def oracle_block_lags(reference, recorded, period_no):
+    """block_lags as it was before the reference pre-pass: every reference
+    block transformed in the walk, the middle search at the segment's own
+    length, the phase ramp applied at every shift."""
+    x, y = reference.samples, recorded.samples
+    size = 2 * period_no
+    count = x.size // size
+    window = np.hanning(size)
+    freqs = np.fft.rfftfreq(size)
+    lo, hi = np.searchsorted(freqs, 0.005), np.searchsorted(freqs, 0.4, "right")
+    freqs = freqs[lo:hi]
+
+    def spectrum(signal, start):
+        block = _oracle_read_block(signal, start, size)
+        block *= window
+        return np.fft.rfft(block)[lo:hi]
+
+    def cross_spectrum(b, k):
+        spec = np.conj(spectrum(x, b * size))
+        spec *= spectrum(y, b * size + k)
+        return spec
+
+    mid = count // 2
+    reach = period_no // 4
+    segment = _oracle_read_block(y, mid * size - reach, size + 2 * reach)
+    spec = np.fft.rfft(segment)
+    block = x[mid * size : (mid + 1) * size] * window
+    spec *= np.conj(np.fft.rfft(block, segment.size))
+    corr = np.fft.irfft(spec, segment.size)[: 2 * reach + 1]
+    k_mid = int(np.argmax(np.abs(corr))) - reach
+    mid_conj = np.conj(cross_spectrum(mid, k_mid))
+    lags = np.full(count, np.nan)
+    lags[mid] = k_mid
+    padded = np.zeros(size // 2 + 1, dtype=np.complex128)
+    for direction in (1, -1):
+        previous, step = float(k_mid), 0.0
+        for b in range(mid + direction, count if direction > 0 else -1, direction):
+            k = int(round(previous + step))
+            r = cross_spectrum(b, k)
+            r *= mid_conj
+            padded[lo:hi] = r
+            shift = int(np.argmax(np.fft.irfft(padded, size)))
+            shift -= size if shift > size // 2 else 0
+            r *= np.exp(2j * np.pi * shift * freqs)
+            weight = np.abs(r)
+            norm = np.dot(weight, freqs * freqs)
+            if norm > 0.0:
+                slope = np.dot(weight * np.angle(r), freqs) / norm
+                lags[b] = k + shift - slope / (2.0 * np.pi)
+                step, previous = lags[b] - previous, lags[b]
+    centres = np.arange(count) * float(size) + (size - 1) / 2.0
+    return centres, lags
+
+
+def emission(codes, period=2205, reps=36):
+    """The mix of `codes` fvnlab channels: 18 blocks, repeating every code
+    cycle (17 distinct blocks for 6 codes, more than the cache keeps)."""
+    matrix = build_code_matrix(codes)
+    _, channels = coded_channels(
+        0.005, FS, list(range(3, 3 + codes)), list(range(codes)), matrix, period, reps
+    )
+    return multiplex(channels)
+
+
+def delayed_drift(x, ppm, delay=7):
+    delayed = np.concatenate([np.zeros(delay), x.samples])
+    return apply_drift(SampledSignal(delayed, FS), DriftSpec("linear", ppm=ppm))
+
+
+@pytest.mark.parametrize("ppm", [0.0, 100.0, -100.0, 500.0])
+@pytest.mark.parametrize("codes", [1, 2, 3, 6])
+def test_block_lags_match_the_oracle_on_emissions(codes, ppm):
+    x = emission(codes)
+    y = delayed_drift(x, ppm)
+    for got, want in zip(block_lags(x, y, 2205), oracle_block_lags(x, y, 2205)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ppm", [0.0, 100.0, 500.0])
+def test_block_lags_match_the_oracle_on_noise_that_does_not_repeat(ppm):
+    """Twelve distinct blocks: eight spectra are cached, and the walk
+    transforms the other four from the reference it keeps."""
+    x = SampledSignal(np.random.default_rng(4).standard_normal(12 * 4410), FS)
+    y = delayed_drift(x, ppm)
+    blocks = align.ReferenceBlocks(x, 2205)
+    assert blocks._samples is x.samples
+    for got, want in zip(blocks.lags(y), oracle_block_lags(x, y, 2205)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 5])
+def test_each_distinct_reference_block_is_transformed_once(monkeypatch, distinct):
+    """A reference cycling through `distinct` blocks, 12 blocks in all:
+    block-length transforms are one per distinct reference block and one
+    per recording block, and the middle search takes two more at its own
+    length.  The reference is not kept, since every block has a spectrum."""
+    period, count = 2205, 12
+    rng = np.random.default_rng(distinct)
+    cycle = rng.standard_normal((distinct, 2 * period))
+    x = SampledSignal(cycle[np.arange(count) % distinct].ravel(), FS)
+    y = delayed_drift(x, 100.0)
+    lengths = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, *args, **kwargs):
+        lengths.append(len(a) if n is None else n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    blocks = align.ReferenceBlocks(x, period)
+    assert blocks._samples is None
+    assert lengths.count(2 * period) == distinct
+    _, lags = blocks.lags(y)
+    assert lengths.count(2 * period) == distinct + count
+    assert len(lengths) == distinct + count + 2
+    assert np.all(np.isfinite(lags))

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -28,11 +29,13 @@ from fvnlab import (
     fileio,
     fvn,
     inverse_shape,
+    resample,
     selftest,
     sequence,
     shape_spectrum,
     synthesize_unit_fvn,
 )
+from fvnlab.align import ReferenceBlocks
 from fvnlab.cli import MAX_SHAPE_RANGE_DB, main
 from fvnlab.fileio import read_json, read_wav, write_filter, write_wav
 from fvnlab.resample import fftconvolve
@@ -407,23 +410,25 @@ def test_align_reads_a_short_room_record_like_the_true_warp(tmp_path):
     recorded = read_wav(sim / "recording.wav")
     span = np.array([0.0, recorded.duration])
     oracle = tmp_path / "oracle.wav"
-    write_wav(oracle, apply_warp(recorded, WarpMap(span / (1.0 + 100e-6), span)))
+    warp = WarpMap(span / (1.0 + 100e-6), span)
+    write_wav(oracle, apply_warp(recorded, lambda: warp))
     want = ir_err_db(oracle, gen, fir)
     assert want < -30.0
     assert ir_err_db(ali / "aligned.wav", gen, fir) == pytest.approx(want, abs=1.0)
 
 
-def drift_commands(tmp_path):
-    """generate a 6 s three-code record (period 22050, 12 reps) for the
-    long_drift benchmark's chain: one path, a mild cubic, white noise 40 dB
-    down and 20 ppm of drift.  Returns the simulate and align arguments."""
+def drift_commands(tmp_path, reps=12):
+    """generate a three-code record (period 22050, `reps` periods: 6 s at
+    12) for the long_drift benchmark's chain: one path, a mild cubic, white
+    noise 40 dB down and 20 ppm of drift.  Returns the simulate and align
+    arguments."""
     gen, sim, target = tmp_path / "gen", tmp_path / "sim", tmp_path / "target.json"
     target.write_text(json.dumps({
         "paths": [[0.0, 1.0, 0.2, -0.1]],
         "nonlinearity": [1.0, 0.0, 0.1],
         "noise": {"kind": "white", "level_db": -40.0},
     }))
-    assert generate(gen, sigma_t=0.01, period_no=22050, reps=12, codes=3, seed=2) == 0
+    assert generate(gen, sigma_t=0.01, period_no=22050, reps=reps, codes=3, seed=2) == 0
     return (
         ["simulate", gen, "--config", target, "--drift-ppm", 20.0, "--out-dir", sim],
         ["align", sim / "recording.wav", gen, "--out-dir", tmp_path / "ali"],
@@ -478,18 +483,66 @@ def test_align_holds_few_record_lengths(tmp_path, traced_peak):
     assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 46.0
 
 
+def aligned_outputs(tmp_path, monkeypatch, align, workers):
+    """align's aligned.wav and warp.csv bytes and its report without the
+    timings, run with `workers` resampler threads."""
+    monkeypatch.setattr(resample, "_workers", lambda count: workers)
+    out = tmp_path / f"ali{workers}"
+    assert run(*align[:-1], out) == 0
+    report = read_json(out / "report.json")
+    del report["timings_s"]
+    return [(out / f).read_bytes() for f in ("aligned.wav", "warp.csv")] + [report]
+
+
+def test_overlapped_align_writes_what_the_serial_order_writes(tmp_path, monkeypatch):
+    """With two resampler threads the tracker walks on a worker while the
+    warp upsamples; with one it runs first, in the calling thread.  Both
+    write the same aligned.wav, warp.csv and report, apart from the
+    timings."""
+    simulate, align = drift_commands(tmp_path)
+    assert run(*simulate) == 0
+    delays, on_main = ReferenceBlocks.delays, []
+
+    def spy(self, recorded):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return delays(self, recorded)
+
+    monkeypatch.setattr(ReferenceBlocks, "delays", spy)
+    overlapped, serial = (
+        aligned_outputs(tmp_path, monkeypatch, align, workers) for workers in (2, 1)
+    )
+    assert on_main == [False, True]
+    assert overlapped == serial
+
+
+def test_overlapped_align_holds_few_record_lengths(tmp_path, traced_peak, monkeypatch):
+    """A 24 s record aligned with two resampler threads, so the tracker
+    walks beside the upsampling: the tracker holds no record-length buffer
+    there, and its block buffers go before the resampling, so the peak is
+    the resampling's (~45 B/sample, the threads' fixed scratch included;
+    at 12 s that scratch alone lifts it to ~50)."""
+    monkeypatch.setattr(resample, "_workers", lambda count: 2)
+    simulate, align = drift_commands(tmp_path, reps=48)
+    assert run(*simulate) == 0
+    code, peak = traced_peak(run, *align)
+    assert code == 0
+    assert peak / read_wav(tmp_path / "sim" / "recording.wav").samples.size <= 46.0
+
+
 def test_align_loads_no_numpy_ma(tmp_path):
     """The lag line's medians sort the few block lags themselves: np.median
     would import numpy.ma (~0.5 MB, ~10 ms) on its first call in a fresh
-    `fvnlab align`.  A fresh interpreter shows it, since this test process
-    may have loaded numpy.ma already."""
+    `fvnlab align`.  Nor does a short record, aligned in the calling
+    thread, load concurrent.futures.  A fresh interpreter shows it, since
+    this test process may have loaded both already."""
     gen, sim, ali = tmp_path / "gen", tmp_path / "sim", tmp_path / "ali"
     assert generate(gen, sigma_t=0.005, period_no=4410, reps=12, codes=2, seed=5) == 0
     assert run("simulate", gen, "--drift-ppm", 100.0, "--out-dir", sim) == 0
     argv = [str(a) for a in ("align", sim / "recording.wav", gen, "--out-dir", ali)]
     code = (
         "import sys; from fvnlab.cli import main; "
-        f"print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        f"print(main({argv!r}), 'numpy.ma' in sys.modules, "
+        "'concurrent.futures' in sys.modules)"
     )
     src = Path(fvnlab.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -500,7 +553,7 @@ def test_align_loads_no_numpy_ma(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_simulate_reports_the_recorded_peak(tmp_path):
@@ -592,6 +645,28 @@ def test_align_refuses_a_record_of_two_blocks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: alignment failed") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_align_refuses_a_silent_record_beside_the_warp_too(
+    tmp_path, capsys, monkeypatch, workers
+):
+    """A silent recording holds no block in band but the middle one, whose
+    lag the search pins: exit 2 with one line, whether the tracker runs
+    before the warp (one resampler thread) or on a worker beside its
+    upsampling (two), where the refusal surfaces once the upsampling is
+    done."""
+    monkeypatch.setattr(resample, "_workers", lambda count: workers)
+    gen, ali = tmp_path / "gen", tmp_path / "ali"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, SampledSignal(np.zeros(12 * 4410), FS))
+    capsys.readouterr()
+    assert run("align", silent, gen, "--out-dir", ali) == 2
+    assert capsys.readouterr().err == (
+        "error: alignment failed: 1 block(s) hold signal in band; tracking needs 3\n"
+    )
+    assert not ali.exists()
 
 
 def test_measure_without_manifest_is_a_validation_error(tmp_path):
@@ -993,6 +1068,17 @@ def test_analysis_of_fewer_than_six_samples_is_refused(tmp_path, capsys, samples
         prefix = f"error: {argv[1]}: {samples} samples: "
         check_one_error_line(capsys, [*argv, "--out-dir", out], prefix)
         assert not out.exists()
+
+
+def test_analysis_of_a_one_sample_ir_names_the_file(tmp_path, capsys):
+    """One sample gives no spectrum at all: analyze refuses it as it refuses
+    2..5 samples, naming the IR file and the sample count, not an internal
+    argument, and creates no output directory."""
+    ir, out = tmp_path / "one.wav", tmp_path / "a1"
+    write_wav(ir, SampledSignal(np.array([1.0]), 44100.0))
+    argv = ["analyze", ir, "--out-dir", out]
+    check_one_error_line(capsys, argv, f"error: {ir}: 1 sample: ")
+    assert not out.exists()
 
 
 def test_analysis_of_six_samples_writes_one_band(tmp_path):
