@@ -254,12 +254,14 @@ def _signals(
     return coded_channels(sigma_t, fs, seeds, rows, codes, period, reps, filt)
 
 
-def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float]:
+def _peak_and_headroom(signal: SampledSignal) -> tuple[float, float | None]:
     """The largest |sample| and -20 log10 of it, as a report gives them: the
     written file's float32 samples round the peak as they round every
-    sample."""
-    peak = float(np.float32(np.max(np.abs(signal.samples))))
-    return peak, float(-20.0 * np.log10(peak))
+    sample.  A silent record has no headroom in dB; JSON holds no infinity,
+    so it is None (null)."""
+    x = signal.samples
+    peak = float(np.float32(max(x.max(), -x.min())))
+    return peak, float(-20.0 * np.log10(peak)) if peak > 0.0 else None
 
 
 def cmd_generate(args) -> int:

@@ -31,7 +31,9 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 def write_wav(path: str | Path, signal: SampledSignal) -> None:
     """Write a mono 32-bit float RIFF WAVE file: an 18-byte fmt chunk, a
     fact chunk holding the sample count, then the data.  A signal beyond
-    float32's range is refused before the file is opened."""
+    float32's range is refused before the file is opened.  The refusal
+    comes from the float32 cast's overflow flag, whatever the caller's
+    numpy error state, so the cast copy is not scanned again."""
     rate = int(round(signal.fs))
     if abs(rate - signal.fs) > 1e-9:
         raise ValueError(f"WAV files need an integer sample rate, got {signal.fs}")
@@ -44,10 +46,11 @@ def write_wav(path: str | Path, signal: SampledSignal) -> None:
             f"{path}: {signal.samples.size} samples exceed the WAV limit of "
             f"{MAX_WAV_SAMPLES}"
         )
-    with np.errstate(over="ignore"):  # refused just below
-        data = signal.samples.astype("<f4")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: samples must be finite as 32-bit floats")
+    try:
+        with np.errstate(all="ignore", over="raise"):  # not a second scan
+            data = signal.samples.astype("<f4")
+    except FloatingPointError:
+        raise ValueError(f"{path}: samples must be finite as 32-bit floats") from None
     header = struct.pack(
         "<4sI4s4sIHHIIHHH4sII4sI",
         b"RIFF", 50 + data.nbytes, b"WAVE",

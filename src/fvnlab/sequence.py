@@ -113,18 +113,48 @@ def assemble_sequence(
     repetitions must leave the receiver a block to average (see
     codes.averaging_block): one full code period plus two guard periods at
     each end.  `unit` is placed exactly as given: the emission form of an
-    FVN is center_pulse of the synthesized buffer.
+    FVN is center_pulse of the synthesized buffer.  The copies are summed
+    as one block product (_assemble).
     """
     row = row_of(codes, code_row_index)
-    n = row.size
-    averaging_block(repetitions * period_no, period_no, n)
+    averaging_block(repetitions * period_no, period_no, row.size)
     pulse = unit.samples
-    p = period_no
-    length = repetitions * p + max(0, pulse.size - p)
-    out = np.zeros(length)
-    for r in range(repetitions):
-        out[r * p : r * p + pulse.size] += row[r % n] * pulse
-    return SampledSignal(out, unit.fs)
+    length = repetitions * period_no + max(0, pulse.size - period_no)
+    return SampledSignal(_assemble(pulse, row, period_no, repetitions, length), unit.fs)
+
+
+def _assemble(
+    pulse: np.ndarray, row: np.ndarray, period_no: int, repetitions: int, length: int
+) -> np.ndarray:
+    """The first `length` samples of repetitions copies of `pulse`, copy r
+    starting at r * period_no with polarity row[r mod n].
+
+    The pulse is cut into Q blocks of period_no samples, the last one
+    zero-padded.  Output period j is then the sum over q of W[j, q] times
+    block q, with W[j, q] = row[(j - q) mod n] where 0 <= j - q <
+    repetitions and 0 elsewhere.  So every period comes out of one
+    (periods x Q) @ (Q x period_no) product, written straight into the
+    output, and no other record-length buffer is made.  The blocks go in
+    last first, so a sample's terms run in emission order, as a copy-by-copy
+    sum adds them.  With Q <= 2 the result is the same bits; with more
+    blocks BLAS's kernel may add in another order, within rounding.
+    """
+    p, size = period_no, pulse.size
+    blocks_q = -(-size // p)
+    width = min(p, size)  # a pulse within one period leaves the rest 0
+    padded = np.zeros(blocks_q * p)
+    padded[:size] = pulse
+    blocks = np.ascontiguousarray(padded.reshape(blocks_q, p)[::-1])
+    r = np.arange(-(-length // p))[:, None] + np.arange(1 - blocks_q, 1)
+    weights = np.where((r >= 0) & (r < repetitions), row[r % row.size], 0.0)
+    out = np.empty(length)
+    whole, rest = divmod(length, p)
+    periods = out[: whole * p].reshape(whole, p)
+    np.matmul(weights[:whole], blocks[:, :width], out=periods[:, :width])
+    periods[:, width:] = 0.0
+    if rest:  # the last period, cut short
+        out[whole * p :] = (weights[whole] @ blocks)[:rest]
+    return out
 
 
 def multiplex(signals: Iterable[SampledSignal]) -> SampledSignal:
@@ -231,12 +261,12 @@ def coded_channels(
     Shaping is linear and time-invariant, so the unit is shaped, not the
     emission: each unit is convolved with filt.impulse_response (truncated
     where its slowest pole has decayed to 1e-18, capped at the emitted
-    length, computed once when the first channel is emitted), assembled,
-    and cut to the unshaped emission's length, as check_plan returns it.
+    length, computed once when the first channel is emitted) and assembled
+    straight to the unshaped emission's length, as check_plan returns it.
     Where the response outlasts the emission, the cap makes this the whole
-    emission through the filter.  Assembly adds repetitions copies of the
-    shaped unit, so a pole near the unit circle costs more than a recursion
-    over the emission would.
+    emission through the filter.  A shaped unit spanning Q periods makes
+    assembly a (periods x Q) @ (Q x period_no) product (_assemble), so a
+    pole near the unit circle costs Q times the work of an unshaped unit.
     """
     length = check_plan(sigma_t, fs, code_rows, codes, period_no, repetitions)
     specs = [FvnSpec(sigma_t=sigma_t, fs=fs, seed=seed) for seed in seeds]
@@ -245,9 +275,9 @@ def coded_channels(
     def emitted() -> Iterator[SampledSignal]:
         h = np.ones(1) if filt is None else filt.impulse_response(length)
         for row, unit in zip(code_rows, units):
-            shaped = SampledSignal(fftconvolve(unit.samples, h), unit.fs)
-            signal = assemble_sequence(shaped, codes, row, period_no, repetitions)
-            yield SampledSignal(signal.samples[:length], unit.fs)
+            pulse = fftconvolve(unit.samples, h)
+            out = _assemble(pulse, codes[row], period_no, repetitions, length)
+            yield SampledSignal(out, unit.fs)
 
     return units, emitted()
 

@@ -605,6 +605,25 @@ def test_identity_simulate_notes_nothing(tmp_path, capsys):
     assert len(out) == 1 and out[0].startswith("wrote recording.wav")
 
 
+def test_silent_recording_reports_null_headroom(tmp_path, capsys):
+    """A path of one zero tap records silence: report.json is strict JSON,
+    with a peak of 0 and no headroom in dB, and nothing goes to stderr."""
+    gen, sim = tmp_path / "gen", tmp_path / "sim"
+    assert generate(gen, sigma_t=0.005, period_no=4410, reps=12) == 0
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"paths": [[0.0]]}))
+    capsys.readouterr()
+    assert run("simulate", gen, "--config", target, "--out-dir", sim) == 0
+    assert capsys.readouterr().err == ""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads((sim / "report.json").read_text(), parse_constant=refuse)
+    assert report["recorded_peak"] == 0.0
+    assert report["headroom_db"] is None
+
+
 def test_align_reports_its_blocks(tmp_path):
     """report.json says how well the line fits the block delays; warp.csv
     holds each block's centre on both clocks."""
@@ -1289,6 +1308,46 @@ def test_selftest_passes_with_scipy_blocked():
     included: selftest exits 0 with every scipy import refused."""
     codes, stderr = run_with_scipy_blocked([["selftest"]])
     assert codes == "[0]", stderr
+
+
+RUNTIME_NEEDS_NUMPY_ALONE = """
+import sys
+
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import fvnlab
+from fvnlab.cli import main
+
+assert main(["selftest"]) == 0
+fvnlab.fileio.write_filter("f.json", fvnlab.design_slope_filter(-3.0, 44100.0))
+argv = "generate --codes 2 --sigma-t 0.005 --period-no 4410 --reps 12"
+assert main([*argv.split(), "--shape", "f.json", "--out-dir", "shaped"]) == 0
+"""
+
+
+def test_runtime_needs_numpy_alone(tmp_path):
+    """What CI checks in a venv without scipy, in a fresh interpreter where
+    scipy cannot be imported at all: the selftest passes, a -3 dB/octave
+    filter is designed by the README's recipe, and generate shapes the
+    README's two codes with it, with no numpy RuntimeWarning on the way."""
+    src = Path(fvnlab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", RUNTIME_NEEDS_NUMPY_ALONE],
+        cwd=tmp_path,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "PYTHONWARNINGS": "error::RuntimeWarning",
+        },
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    manifest = read_json(tmp_path / "shaped" / "manifest.json")
+    assert manifest["shape"] == design_slope_filter(-3.0, FS).a.tolist()
+    assert sorted(p.name for p in (tmp_path / "shaped").glob("*.wav")) == [
+        "channel_0.wav", "channel_1.wav", "multiplexed.wav"
+    ]
 
 
 def test_shaped_pipeline_runs_with_scipy_blocked(tmp_path):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import re
 import struct
 
 import numpy as np
@@ -73,6 +75,28 @@ def test_wav_refuses_samples_beyond_the_float32_range(tmp_path):
     with pytest.raises(ValueError, match=f"{over}: .*finite"):
         write_wav(over, SampledSignal(np.array([0.0, -1e39]), 44100.0))
     assert not over.exists()
+
+
+@pytest.mark.parametrize("caller", ["default", "over ignore"])
+def test_wav_refuses_1e39_whatever_the_callers_error_state(tmp_path, caller):
+    """The refusal comes from the float32 cast's overflow, which a caller
+    that ignores overflow does not silence."""
+    over = tmp_path / "over.wav"
+    message = f"^{re.escape(str(over))}: samples must be finite as 32-bit floats$"
+    ignore = caller == "over ignore"
+    with np.errstate(over="ignore") if ignore else contextlib.nullcontext():
+        with pytest.raises(ValueError, match=message):
+            write_wav(over, SampledSignal(np.array([1e39]), 44100.0))
+    assert not over.exists()
+
+
+def test_wav_keeps_float32_underflow_under_a_callers_raise(tmp_path):
+    """Only overflow is a refusal: 1e-300 is written as 0 even when the
+    caller's numpy errors all raise."""
+    path = tmp_path / "tiny.wav"
+    with np.errstate(all="raise"):
+        write_wav(path, SampledSignal(np.array([1e-300, 1.0]), 44100.0))
+    np.testing.assert_array_equal(read_wav(path).samples, [0.0, 1.0])
 
 
 def test_wav_rejects_stereo(tmp_path):

@@ -18,6 +18,7 @@ from fvnlab import (
 )
 from fvnlab import sequence
 from fvnlab.cli import MAX_SHAPE_RANGE_DB
+from fvnlab.resample import fftconvolve
 
 FS = 44100.0
 
@@ -372,6 +373,72 @@ def test_check_plan_returns_the_emitted_length(period_no):
     seeds, rows = [3, 4], [0, 1]
     _, emitted = sequence.coded_channels(0.005, FS, seeds, rows, codes, period_no, 12)
     assert [len(signal) for signal in emitted] == [length, length]
+
+
+def oracle_assemble(pulse, row, period_no, repetitions):
+    """The copy-by-copy sum assembly ran before the block product: copy r
+    added at r * period_no with polarity row[r mod n], in emission order."""
+    n = row.size
+    out = np.zeros(repetitions * period_no + max(0, pulse.size - period_no))
+    for r in range(repetitions):
+        out[r * period_no : r * period_no + pulse.size] += row[r % n] * pulse
+    return out
+
+
+@pytest.mark.parametrize("period_no", [5000, 4096, 3000, 2048])
+def test_assembly_matches_the_copy_by_copy_sum_bit_for_bit(period_no):
+    """A 4096-sample pulse in one block, with and without zero columns, and
+    in two blocks, with the last period cut short (3000) or whole (2048)."""
+    unit = center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t=0.005, seed=3)))
+    codes = build_code_matrix(3)
+    for row in range(3):
+        got = assemble_sequence(unit, codes, row, period_no, 9).samples
+        expected = oracle_assemble(unit.samples, codes[row], period_no, 9)
+        assert got.tobytes() == expected.tobytes()
+
+
+BENCHMARK_PLANS = {  # perfbench's workloads: codes, sigma_t, period_no, reps, shaped
+    "cli_short": (2, 0.005, 4410, 12, False),
+    "long_drift": (3, 0.010, 22050, 120, False),
+    "codes_shaped": (8, 0.005, 4410, 516, True),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_PLANS))
+def test_benchmark_emissions_match_the_copy_by_copy_sum_bit_for_bit(workload):
+    """Every channel of each benchmark workload's plan, a pulse of one
+    period or (shaped at -3 dB/octave) two, comes out of coded_channels with
+    the bytes of the copy-by-copy sum cut to check_plan's length."""
+    k, sigma_t, period_no, reps, shaped = BENCHMARK_PLANS[workload]
+    codes = build_code_matrix(k)
+    filt = slope_filter(-3.0) if shaped else None
+    rows = list(range(k))
+    length = sequence.check_plan(sigma_t, FS, rows, codes, period_no, reps)
+    seeds = [11 + row for row in rows]
+    units, emitted = sequence.coded_channels(
+        sigma_t, FS, seeds, rows, codes, period_no, reps, filt
+    )
+    h = np.ones(1) if filt is None else filt.impulse_response(length)
+    for row, unit, got in zip(rows, units, emitted):
+        pulse = fftconvolve(unit.samples, h)
+        assert -(-pulse.size // period_no) == (2 if shaped else 1)
+        expected = oracle_assemble(pulse, codes[row], period_no, reps)[:length]
+        assert got.samples.tobytes() == expected.tobytes()
+
+
+def test_a_slow_pole_unit_of_150_periods_assembles_within_rounding():
+    """Shaped by the slowest pole the CLI accepts, a unit spans 150 periods
+    of 4410 samples: 150 terms a sample, summed within 1e-15 of the peak
+    of the copy-by-copy sum."""
+    unit = center_pulse(synthesize_unit_fvn(FvnSpec(sigma_t=0.005, seed=3)))
+    h = pole_near_the_range_limit().impulse_response(10**7)
+    pulse = SampledSignal(fftconvolve(unit.samples, h), FS)
+    assert -(-len(pulse) // 4410) == 150
+    codes = build_code_matrix(3)
+    got = assemble_sequence(pulse, codes, 2, 4410, 160).samples
+    expected = oracle_assemble(pulse.samples, codes[2], 4410, 160)
+    assert got.size == expected.size
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_check_plan_refuses_a_negative_period_as_a_period():
